@@ -15,9 +15,8 @@
 //	curl -s localhost:8080/v1/jobs/$id/trace     # Perfetto-loadable trace
 //	curl -s localhost:8080/metrics               # Prometheus exposition
 //
-// The pre-v1 unversioned paths redirect (301/308) to their /v1
-// successors for one release. With -debug-addr a second, private
-// listener serves net/http/pprof and a /metrics mirror.
+// With -debug-addr a second, private listener serves net/http/pprof and
+// a /metrics mirror.
 //
 // On SIGTERM/SIGINT the daemon drains gracefully: it stops admitting
 // (submit → 503), finishes or checkpoints in-flight jobs at the next cell

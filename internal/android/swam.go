@@ -43,12 +43,6 @@ func DefaultSwamConfig() SwamConfig {
 	}
 }
 
-// swamSample is one (time, cumulative responsiveness-stall) observation.
-type swamSample struct {
-	at    time.Duration
-	stall time.Duration
-}
-
 // swamStallCum is the monitor's input signal: total time apps have lost to
 // refault IO plus decompression CPU. Both terms are deterministic lifetime
 // counters, so the sampled deltas are too.
@@ -63,16 +57,7 @@ func (s *System) swamStallCum() time.Duration {
 // swap still escalates, and a quiet full device is left alone.
 func (s *System) swamTick(c *simclock.Clock) {
 	now := c.Now()
-	s.swamSamples = append(s.swamSamples, swamSample{now, s.swamStallCum()})
-	cut := 0
-	for cut+1 < len(s.swamSamples)-1 && now-s.swamSamples[cut+1].at > s.Cfg.Swam.Window {
-		cut++
-	}
-	s.swamSamples = s.swamSamples[cut:]
-	oldest := s.swamSamples[0]
-	elapsed := now - oldest.at
-	if elapsed >= s.Cfg.Swam.Window/2 {
-		stallFrac := float64(s.swamStallCum()-oldest.stall) / float64(elapsed)
+	if stallFrac, ok := s.stall.observe(now, s.swamStallCum()); ok {
 		switch {
 		case stallFrac > s.Cfg.Swam.KillThreshold && now-s.lastSwamKill >= s.Cfg.Swam.Cooldown:
 			if s.onPressure(0) {

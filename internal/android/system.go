@@ -36,20 +36,47 @@ type System struct {
 	fg       *Proc
 	reclaims int64
 
-	// PSI lmkd state: samples of (time, cumulative GC-induced swap-in
-	// stall) — see psiTick.
-	psiSamples  []psiSample
-	lastPSIKill time.Duration
-	gcFaultCum  time.Duration
-
-	// SWAM responsiveness-monitor state — see swamTick.
-	swamSamples  []swamSample
+	// stall is the sliding window of the one stall monitor NewSystem
+	// starts (psiTick or swamTick); each monitor keeps its own cooldown.
+	// gcFaultCum, the PSI monitor's input, is the cumulative GC-induced
+	// swap-in stall.
+	stall        stallWindow
+	gcFaultCum   time.Duration
+	lastPSIKill  time.Duration
 	lastSwamKill time.Duration
 }
 
-type psiSample struct {
+// stallWindow is the sliding window both lmkd stall monitors measure over:
+// (time, cumulative stall) samples, trimmed to the window span but always
+// keeping one sample at or beyond the window boundary, so the measured
+// span covers at least the whole window even when long stalls advance the
+// clock in big jumps.
+type stallWindow struct {
+	span    time.Duration
+	samples []stallSample
+}
+
+type stallSample struct {
 	at    time.Duration
 	stall time.Duration
+}
+
+// observe records the cumulative stall cum at now and returns the fraction
+// of wall time stalled since the oldest retained sample. ok is false (and
+// frac zero) until the samples span half a window.
+func (w *stallWindow) observe(now, cum time.Duration) (frac float64, ok bool) {
+	w.samples = append(w.samples, stallSample{now, cum})
+	cut := 0
+	for cut+1 < len(w.samples)-1 && now-w.samples[cut+1].at > w.span {
+		cut++
+	}
+	w.samples = w.samples[cut:]
+	oldest := w.samples[0]
+	elapsed := now - oldest.at
+	if elapsed < w.span/2 {
+		return 0, false
+	}
+	return float64(cum-oldest.stall) / float64(elapsed), true
 }
 
 // NewSystem boots a device with the given configuration.
@@ -72,8 +99,10 @@ func NewSystem(cfg SystemConfig) *System {
 	}
 	switch {
 	case cfg.Policy == PolicySwam && cfg.Swam.Window > 0:
+		s.stall.span = cfg.Swam.Window
 		s.Clock.ScheduleAfter(time.Second, "swam", s.swamTick)
 	case cfg.PSIWindow > 0:
+		s.stall.span = cfg.PSIWindow
 		s.Clock.ScheduleAfter(time.Second, "psi", s.psiTick)
 	}
 	if cfg.Faults != nil {
@@ -181,19 +210,8 @@ func (s *System) crashKill(r *xrand.Rand) {
 // not touch swapped pages stay below it.
 func (s *System) psiTick(c *simclock.Clock) {
 	now := c.Now()
-	s.psiSamples = append(s.psiSamples, psiSample{now, s.gcFaultCum})
-	// Trim history, but always keep one sample at or beyond the window
-	// boundary so the measured span covers at least the whole window even
-	// when long GC stalls advance the clock in big jumps.
-	cut := 0
-	for cut+1 < len(s.psiSamples)-1 && now-s.psiSamples[cut+1].at > s.Cfg.PSIWindow {
-		cut++
-	}
-	s.psiSamples = s.psiSamples[cut:]
-	oldest := s.psiSamples[0]
-	elapsed := now - oldest.at
-	if elapsed >= s.Cfg.PSIWindow/2 && now-s.lastPSIKill >= s.Cfg.PSICooldown {
-		ioFrac := float64(s.gcFaultCum-oldest.stall) / float64(elapsed)
+	ioFrac, ok := s.stall.observe(now, s.gcFaultCum)
+	if ok && now-s.lastPSIKill >= s.Cfg.PSICooldown {
 		swapFull := s.VM.Swap.TotalSlots() == 0 ||
 			float64(s.VM.Swap.UsedSlots()) > 0.7*float64(s.VM.Swap.TotalSlots())
 		if ioFrac > s.Cfg.PSIKillThreshold && swapFull {

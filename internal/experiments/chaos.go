@@ -231,7 +231,7 @@ func (rep ChaosReport) Passed() bool {
 // adding seeds only adds cells, so a longer campaign resumes a shorter
 // one's work.
 func ChaosCampaignKey(p Params) string {
-	return fmt.Sprintf("chaos/v1|scale=%d|rounds=%d|use=%s|apps=%d|seed=%d",
+	return fmt.Sprintf("chaos/v2|scale=%d|rounds=%d|use=%s|apps=%d|seed=%d",
 		p.Scale, p.Rounds, p.UseTime, p.PressureApps, p.Seed)
 }
 
@@ -246,13 +246,8 @@ type chaosCell struct {
 	seed    uint64
 }
 
-// checkpointKey names the cell in the resume store. The historical
-// flash×Fleet cells keep their v1 "profile/seed" key so existing campaign
-// checkpoints still resume; backend/policy variants get a longer key.
+// checkpointKey names the cell in the resume store.
 func (c chaosCell) checkpointKey() string {
-	if c.backend == vmem.BackendFlash && c.policy == android.PolicyFleet {
-		return fmt.Sprintf("%s/%d", c.prof.Name, c.seed)
-	}
 	return fmt.Sprintf("%s/%s/%s/%d", c.prof.Name, c.backend, c.policy, c.seed)
 }
 

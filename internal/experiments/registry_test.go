@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestRegistryInvariants(t *testing.T) {
 	specs := Registry()
@@ -40,5 +43,31 @@ func TestRegistryLookup(t *testing.T) {
 	}
 	if _, ok := LookupRun("nope"); ok {
 		t.Fatal("LookupRun resolved a bogus name")
+	}
+}
+
+// TestRegistrySmoke runs every registered experiment once and requires
+// non-empty output. It is the only tier-1 test that reaches some of the
+// experiments (fig12b, fig14, fig16), so it guards them against panics and
+// silent breakage; -short and -race run a representative subset.
+func TestRegistrySmoke(t *testing.T) {
+	specs := Registry()
+	if testing.Short() || raceEnabled {
+		var subset []Spec
+		keep := map[string]bool{"fig2": true, "fig11a": true, "fig13": true, "sec74": true, "extzram": true}
+		for _, s := range specs {
+			if keep[s.Name] {
+				subset = append(subset, s)
+			}
+		}
+		specs = subset
+	}
+	p := detParams(7)
+	for _, s := range specs {
+		t.Run(s.Name, func(t *testing.T) {
+			if out := s.Run(p); strings.TrimSpace(out) == "" {
+				t.Error("empty output")
+			}
+		})
 	}
 }

@@ -347,6 +347,100 @@ func TestMajorLivenessMatchesReachability(t *testing.T) {
 	}
 }
 
+// TestTraceFastMatchesReachability checks the pure-marking fast loop
+// against naive BFS reachability on random graphs with cycles, dead
+// objects, nil reference slots and nil/dead/duplicate seeds. DFS and BFS
+// must both mark exactly the reachable set and report its object count,
+// byte total and CPU; BFS must also report the deepest level.
+func TestTraceFastMatchesReachability(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		r := xrand.New(seed)
+		h := newTestHeap()
+		const n = 300
+		ids := make([]heap.ObjectID, n)
+		for i := range ids {
+			size := int32(16 + r.Intn(512))
+			if i%10 == 0 {
+				size = int32(4096 + r.Intn(8192)) // past the visit-cost memo
+			}
+			ids[i], _, _ = h.Alloc(size, heap.EpochForeground, 0)
+		}
+		for i := 0; i < 2*n; i++ {
+			h.AddRef(ids[r.Intn(n)], ids[r.Intn(n)], 0)
+		}
+		for i := 0; i < n/4; i++ {
+			// Slot beyond the current length: the gap fills with nil.
+			to := ids[r.Intn(n)]
+			if r.Bool(0.3) {
+				to = heap.NilObject
+			}
+			h.SetRef(ids[r.Intn(n)], 3+r.Intn(4), to, 0)
+		}
+		for i := 0; i < 5; i++ {
+			h.AddRoot(ids[r.Intn(n)])
+		}
+		// Kill some objects while references to them remain, then recycle
+		// a few of their IDs for fresh tenants with empty spans.
+		var dead heap.ObjectID
+		for i := 0; i < n/10; i++ {
+			id := ids[r.Intn(n)]
+			if !h.IsRoot(id) {
+				h.KillObject(id)
+				dead = id
+			}
+		}
+		for i := 0; i < 5; i++ {
+			id, _, _ := h.Alloc(int32(16+r.Intn(512)), heap.EpochBackground, 0)
+			h.AddRef(ids[r.Intn(n)], id, 0)
+		}
+		seeds := append(h.RootSlice(), heap.NilObject, dead, h.Roots()[0])
+
+		depth := map[heap.ObjectID]int{}
+		var frontier []heap.ObjectID
+		for _, id := range seeds {
+			if _, seen := depth[id]; !seen && id != heap.NilObject && h.Object(id).Live() {
+				depth[id] = 0
+				frontier = append(frontier, id)
+			}
+		}
+		for head := 0; head < len(frontier); head++ {
+			id := frontier[head]
+			for _, ref := range h.Object(id).Refs {
+				if _, seen := depth[ref]; !seen && ref != heap.NilObject && h.Object(ref).Live() {
+					depth[ref] = depth[id] + 1
+					frontier = append(frontier, ref)
+				}
+			}
+		}
+		var want TraceStats
+		for id, d := range depth {
+			size := h.Object(id).Size
+			want.ObjectsTraced++
+			want.BytesTraced += int64(size)
+			want.CPU += VisitCPU + vmem.DRAMCost(int64(size))
+			want.MaxDepth = max(want.MaxDepth, d)
+		}
+
+		for _, bfs := range []bool{false, true} {
+			h.BeginTrace()
+			st := traceFast(h, h.SoAView(), seeds, bfs)
+			w := want
+			if !bfs {
+				w.MaxDepth = 0 // depth is tracked only breadth-first
+			}
+			if st != w {
+				t.Fatalf("seed %d bfs=%v: stats %+v, want %+v", seed, bfs, st, w)
+			}
+			for id := heap.ObjectID(1); int(id) < h.ObjectTableSize(); id++ {
+				if _, reachable := depth[id]; h.Marked(id) != reachable {
+					t.Fatalf("seed %d bfs=%v: object %d marked=%v, reachable=%v",
+						seed, bfs, id, h.Marked(id), reachable)
+				}
+			}
+		}
+	}
+}
+
 // Property: repeated Major GCs without mutation are idempotent on the live
 // set and compact the heap (region count does not grow).
 func TestMajorIdempotent(t *testing.T) {

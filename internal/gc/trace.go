@@ -64,25 +64,22 @@ type TraceOpts struct {
 // reentrant for a given heap (one GC thread per runtime, as on the
 // device).
 func Trace(h *heap.Heap, seeds []heap.ObjectID, opts TraceOpts) TraceStats {
+	v := h.SoAView()
 	if opts.ShouldTrace == nil && opts.OnVisit == nil && opts.NoTouch {
-		if v := h.SoAView(); !v.Compat {
-			return traceFast(h, v, seeds, opts.BFS)
-		}
+		return traceFast(h, v, seeds, opts.BFS)
 	}
 	var st TraceStats
 	scratch := h.Scratch()
 	queue := scratch.Queue[:0]
 	// The callback-bearing loop also drives its mark checks through the
-	// dense mark/size table when the CSR layout is active: one 8-byte load
-	// per examined reference (the dead sentinel folds in nil/dead, see
-	// traceFast) instead of loading the ~96-byte Object record per edge.
-	// Callbacks are pure predicates over heap state, so skipping them for
-	// already-marked references (which the table check does first) is
-	// unobservable. No callback allocates, so the view stays valid.
-	v := h.SoAView()
+	// dense mark/size table: one 8-byte load per examined reference (the
+	// dead sentinel folds in nil/dead, see traceFast) instead of loading
+	// the ~96-byte Object record per edge. Callbacks are pure predicates
+	// over heap state, so skipping them for already-marked references
+	// (which the table check does first) is unobservable. No callback
+	// allocates, so the view stays valid.
 	const hi32 uint64 = 0xffffffff_00000000
 	ms, gen, gen64 := v.MarkSize, v.Gen, uint64(v.Gen)
-	useSoA := !v.Compat
 	for _, id := range seeds {
 		if id == heap.NilObject || !h.Object(id).Live() {
 			continue
@@ -110,38 +107,19 @@ func Trace(h *heap.Heap, seeds []heap.ObjectID, opts TraceOpts) TraceStats {
 		if opts.OnVisit != nil {
 			opts.OnVisit(it.ID, int(it.Depth))
 		}
-		if useSoA {
-			for _, ref := range o.Refs {
-				w := ms[uint32(ref)]
-				if uint32(w) >= gen {
-					continue // nil, dead or already marked
-				}
-				if opts.ShouldTrace != nil && !opts.ShouldTrace(ref) {
-					// Live by fiat; mark so evacuation sees it, but
-					// never touch or descend.
-					ms[uint32(ref)] = w&hi32 | gen64
-					continue
-				}
-				ms[uint32(ref)] = w&hi32 | gen64
-				queue = append(queue, heap.TraceItem{ID: ref, Depth: it.Depth + 1})
-			}
-			return
-		}
 		for _, ref := range o.Refs {
-			if ref == heap.NilObject {
-				continue
-			}
-			ro := h.Object(ref)
-			if !ro.Live() {
-				continue
+			w := ms[uint32(ref)]
+			if uint32(w) >= gen {
+				continue // nil, dead or already marked
 			}
 			if opts.ShouldTrace != nil && !opts.ShouldTrace(ref) {
-				h.Mark(ref)
+				// Live by fiat; mark so evacuation sees it, but
+				// never touch or descend.
+				ms[uint32(ref)] = w&hi32 | gen64
 				continue
 			}
-			if h.Mark(ref) {
-				queue = append(queue, heap.TraceItem{ID: ref, Depth: it.Depth + 1})
-			}
+			ms[uint32(ref)] = w&hi32 | gen64
+			queue = append(queue, heap.TraceItem{ID: ref, Depth: it.Depth + 1})
 		}
 	}
 
@@ -163,6 +141,10 @@ func Trace(h *heap.Heap, seeds []heap.ObjectID, opts TraceOpts) TraceStats {
 	return st
 }
 
+// traceLanes is the number of DFS chains the fast mark loop advances in
+// lock-step; see the lane comment in traceFast.
+const traceLanes = 4
+
 // traceFast is the cache-linear mark loop for the common pure-marking pass
 // (no callbacks, no page touching): it walks the heap's struct-of-arrays
 // view — dense size/live/mark tables plus the CSR edge arena — so each
@@ -176,10 +158,6 @@ func Trace(h *heap.Heap, seeds []heap.ObjectID, opts TraceOpts) TraceStats {
 // reachable set yields bit-identical TraceStats. BFS keeps the generic
 // FIFO order because it additionally reports MaxDepth (depths tracked by
 // level boundary instead of per item).
-// traceLanes is the number of DFS chains the fast mark loop advances in
-// lock-step; see the lane comment in traceFast.
-const traceLanes = 4
-
 func traceFast(h *heap.Heap, v heap.View, seeds []heap.ObjectID, bfs bool) TraceStats {
 	const hi32 uint64 = 0xffffffff_00000000
 	var st TraceStats

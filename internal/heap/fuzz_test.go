@@ -179,20 +179,14 @@ func collectForFuzz(h *Heap, now time.Duration) {
 // exercises exactly what the CSR arena must get right: append growth
 // (in-place and relocating), set-with-gap-fill, clears, span reuse by the
 // recycled ObjectID's next tenant, compaction, and view re-aliasing when
-// the arena's backing array moves. The same workload also runs under the
-// legacy compat layout, pinning both implementations to the model.
+// the arena's backing array moves.
 func TestEdgeArenaCrossCheck(t *testing.T) {
-	for _, compat := range []bool{false, true} {
-		prev := CompatEdgesEnabled()
-		SetCompatEdges(compat)
-		for seed := uint64(1); seed <= 3; seed++ {
-			runEdgeCrossCheck(t, seed, compat)
-		}
-		SetCompatEdges(prev)
+	for seed := uint64(1); seed <= 3; seed++ {
+		runEdgeCrossCheck(t, seed)
 	}
 }
 
-func runEdgeCrossCheck(t *testing.T, seed uint64, compat bool) {
+func runEdgeCrossCheck(t *testing.T, seed uint64) {
 	r := xrand.New(seed)
 	phys := mem.NewPhysical(128 * units.MiB)
 	vm := vmem.NewManager(phys, vmem.NewSwapDevice(vmem.DefaultSwapConfig()))
@@ -213,13 +207,13 @@ func runEdgeCrossCheck(t *testing.T, seed uint64, compat bool) {
 			got := h.Object(id).Refs
 			want := model[id]
 			if len(got) != len(want) {
-				t.Fatalf("compat=%v seed %d step %d obj %d: %d refs, model has %d",
-					compat, seed, step, id, len(got), len(want))
+				t.Fatalf("seed %d step %d obj %d: %d refs, model has %d",
+					seed, step, id, len(got), len(want))
 			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("compat=%v seed %d step %d obj %d ref %d: got %d want %d",
-						compat, seed, step, id, i, got[i], want[i])
+					t.Fatalf("seed %d step %d obj %d ref %d: got %d want %d",
+						seed, step, id, i, got[i], want[i])
 				}
 			}
 		}

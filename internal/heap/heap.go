@@ -183,13 +183,10 @@ type Heap struct {
 	// one word per object instead of two parallel arrays.
 	// edgeWaste counts orphaned slots left behind by span relocation;
 	// compaction (soa.go) rewrites the arena when it dominates.
-	// compatEdges selects the legacy per-object-slice layout instead
-	// (the digest-equivalence harness runs both and compares).
-	edges       []ObjectID
-	espan       []uint64
-	ecap        []int32
-	edgeWaste   int64
-	compatEdges bool
+	edges     []ObjectID
+	espan     []uint64
+	ecap      []int32
+	edgeWaste int64
 
 	regions     []*Region
 	freeRegions []int32
@@ -241,11 +238,7 @@ type Heap struct {
 
 // New creates an empty heap for the given address space.
 func New(as *mem.AddressSpace, vm *vmem.Manager) *Heap {
-	h := &Heap{
-		AS:          as,
-		VM:          vm,
-		compatEdges: CompatEdgesEnabled(),
-	}
+	h := &Heap{AS: as, VM: vm}
 	// Reserve slot 0 as NilObject (never live, so liveb[NilObject] == 0
 	// doubles as the nil-reference check in trace loops, and its deadMark
 	// entry makes the single-compare mark test skip nil references too).
@@ -436,15 +429,10 @@ func (h *Heap) Alloc(size int32, epoch Epoch, now time.Duration) (ObjectID, time
 		id = ObjectID(len(h.objects) - 1)
 	}
 	h.seq++
+	// Reuse the dead tenant's arena span (capacity kept, length reset).
+	h.espan[id] &= spanOffMask
+	off := int32(h.espan[id] >> 32)
 	o := &h.objects[id]
-	refs := o.Refs[:0] // compat layout: reuse slice capacity from the dead tenant
-	if !h.compatEdges {
-		// CSR layout: reuse the dead tenant's arena span (capacity kept,
-		// length reset).
-		h.espan[id] &= spanOffMask
-		off := int32(h.espan[id] >> 32)
-		refs = h.edges[off : off : off+h.ecap[id]]
-	}
 	*o = Object{
 		Seq:        h.seq,
 		Size:       size,
@@ -454,7 +442,7 @@ func (h *Heap) Alloc(size int32, epoch Epoch, now time.Duration) (ObjectID, time
 		AllocGC:    h.stats.GCCount,
 		LastAccess: now,
 		live:       true,
-		Refs:       refs,
+		Refs:       h.edges[off : off : off+h.ecap[id]],
 	}
 	h.msize[id] = uint64(uint32(size)) << 32 // mark cleared
 	h.liveb[id] = 1
@@ -541,45 +529,27 @@ func (h *Heap) Access(id ObjectID, write bool, now time.Duration) (time.Duration
 // SetRef points from's i-th reference slot at to (growing the slot list as
 // needed), running the write barrier. It returns the page-touch stall.
 func (h *Heap) SetRef(from ObjectID, i int, to ObjectID, now time.Duration) (time.Duration, error) {
-	o := &h.objects[from]
-	if !o.live {
+	if !h.objects[from].live {
 		return 0, fmt.Errorf("%w: SetRef on %d", ErrDeadObject, from)
 	}
-	if h.compatEdges {
-		for len(o.Refs) <= i {
-			o.Refs = append(o.Refs, NilObject)
-		}
-		o.Refs[i] = to
-	} else {
-		h.setEdge(from, i, to)
-	}
+	h.setEdge(from, i, to)
 	return h.Access(from, true, now)
 }
 
 // AddRef appends a reference from → to.
 func (h *Heap) AddRef(from, to ObjectID, now time.Duration) (time.Duration, error) {
-	o := &h.objects[from]
-	if !o.live {
+	if !h.objects[from].live {
 		return 0, fmt.Errorf("%w: AddRef on %d", ErrDeadObject, from)
 	}
-	if h.compatEdges {
-		o.Refs = append(o.Refs, to)
-	} else {
-		h.appendEdge(from, to)
-	}
+	h.appendEdge(from, to)
 	return h.Access(from, true, now)
 }
 
 // ClearRefs drops all outgoing references of from (the workload's way of
 // making a subgraph unreachable).
 func (h *Heap) ClearRefs(from ObjectID, now time.Duration) (time.Duration, error) {
-	if h.compatEdges {
-		o := &h.objects[from]
-		o.Refs = o.Refs[:0]
-	} else {
-		h.espan[from] &= spanOffMask
-		h.setRefsView(from)
-	}
+	h.espan[from] &= spanOffMask
+	h.setRefsView(from)
 	return h.Access(from, true, now)
 }
 

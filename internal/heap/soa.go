@@ -1,7 +1,5 @@
 package heap
 
-import "sync/atomic"
-
 // This file holds the struct-of-arrays side of the heap: the dense
 // per-object tables (sizes, liveness, marks, region indexes) and the CSR
 // edge arena that backs every Object.Refs slice. The layout exists for the
@@ -66,22 +64,6 @@ func (h *Heap) span(id ObjectID) (off, n int32) {
 // the rewrite.
 const compactMinArena = 4096
 
-// compatEdgesFlag switches newly created heaps to the legacy per-object
-// []ObjectID edge layout. Only the equivalence harness sets it.
-var compatEdgesFlag atomic.Bool
-
-// SetCompatEdges makes heaps created after the call store reference edges
-// as classic per-object slices instead of the CSR arena. The two layouts
-// must be observationally identical; the digest-equivalence tests run
-// every experiment under both and compare snapshot digests bitwise.
-func SetCompatEdges(v bool) { compatEdgesFlag.Store(v) }
-
-// CompatEdgesEnabled reports the current default edge layout.
-func CompatEdgesEnabled() bool { return compatEdgesFlag.Load() }
-
-// CompatEdges reports whether this heap uses the legacy edge layout.
-func (h *Heap) CompatEdges() bool { return h.compatEdges }
-
 // growSoA appends one zeroed entry to every dense table, keeping them in
 // lockstep with the object table (len(objects) has already been grown by
 // the caller). The common case reslices within capacity: fresh backing
@@ -123,7 +105,7 @@ func (h *Heap) refreshRefViews() {
 	}
 }
 
-// appendEdge appends one reference to id's span (CSR layout).
+// appendEdge appends one reference to id's span.
 func (h *Heap) appendEdge(id, to ObjectID) {
 	_, n := h.span(id)
 	if n == h.ecap[id] {
@@ -135,9 +117,9 @@ func (h *Heap) appendEdge(id, to ObjectID) {
 	h.setRefsView(id)
 }
 
-// setEdge writes id's i-th reference slot, NilObject-filling any gap (CSR
-// layout). Gap filling is explicit because a recycled span may still hold
-// the dead tenant's edges beyond its length.
+// setEdge writes id's i-th reference slot, NilObject-filling any gap. Gap
+// filling is explicit because a recycled span may still hold the dead
+// tenant's edges beyond its length.
 func (h *Heap) setEdge(id ObjectID, i int, to ObjectID) {
 	need := int32(i + 1)
 	if need > h.ecap[id] {
@@ -242,13 +224,9 @@ type View struct {
 	// Gen is the current mark generation (set by BeginTrace).
 	Gen uint32
 	// EdgeSpans and Edges are the CSR edge arena: object id's span word is
-	// off<<32 | len, its references Edges[off : off+len]. Not meaningful
-	// when Compat is set.
+	// off<<32 | len, its references Edges[off : off+len].
 	EdgeSpans []uint64
 	Edges     []ObjectID
-	// Compat is true when this heap stores edges per object (legacy
-	// layout); read Object.Refs instead of the arena then.
-	Compat bool
 }
 
 // SoAView returns the current struct-of-arrays view for a tracing pass.
@@ -259,6 +237,5 @@ func (h *Heap) SoAView() View {
 		Gen:       h.markGen,
 		EdgeSpans: h.espan,
 		Edges:     h.edges,
-		Compat:    h.compatEdges,
 	}
 }

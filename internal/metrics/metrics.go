@@ -1,7 +1,7 @@
 // Package metrics provides the statistics the evaluation harness reports:
-// streaming summaries, exact-percentile samples, histograms/CDFs and time
-// series. Everything stores float64s; callers convert durations to
-// milliseconds (the paper's unit) at the edge.
+// streaming summaries, exact-percentile samples and CDFs, mergeable
+// percentile sketches and time series. Everything stores float64s; callers
+// convert durations to milliseconds (the paper's unit) at the edge.
 package metrics
 
 import (
@@ -191,54 +191,6 @@ func (s *Sample) CDFAt(x float64) float64 {
 	s.ensureSorted()
 	i := sort.SearchFloat64s(s.xs, math.Nextafter(x, math.Inf(1)))
 	return float64(i) / float64(len(s.xs))
-}
-
-// Histogram is a fixed-bucket histogram over explicit upper bounds.
-type Histogram struct {
-	// Bounds are inclusive upper bounds of each bucket, ascending. A final
-	// implicit +Inf bucket catches the rest.
-	Bounds []float64
-	Counts []int64
-	total  int64
-}
-
-// NewHistogram builds a histogram with the given inclusive upper bounds.
-func NewHistogram(bounds ...float64) *Histogram {
-	b := append([]float64(nil), bounds...)
-	sort.Float64s(b)
-	return &Histogram{Bounds: b, Counts: make([]int64, len(b)+1)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := sort.SearchFloat64s(h.Bounds, x)
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Fraction returns each bucket's share of the total (empty histogram →
-// all zeros).
-func (h *Histogram) Fraction() []float64 {
-	out := make([]float64, len(h.Counts))
-	if h.total == 0 {
-		return out
-	}
-	for i, c := range h.Counts {
-		out[i] = float64(c) / float64(h.total)
-	}
-	return out
-}
-
-// Cumulative returns the running cumulative fraction per bucket.
-func (h *Histogram) Cumulative() []float64 {
-	fr := h.Fraction()
-	for i := 1; i < len(fr); i++ {
-		fr[i] += fr[i-1]
-	}
-	return fr
 }
 
 // TimeSeries records (t, value) points, for the paper's timeline figures.

@@ -135,36 +135,6 @@ func TestSampleAddAfterSortedRead(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10, 100, 1000)
-	for _, x := range []float64{5, 10, 50, 500, 5000} {
-		h.Add(x)
-	}
-	if h.Total() != 5 {
-		t.Errorf("total = %d", h.Total())
-	}
-	// Buckets: ≤10 gets {5,10}, ≤100 gets {50}, ≤1000 gets {500}, +Inf {5000}.
-	want := []int64{2, 1, 1, 1}
-	for i, w := range want {
-		if h.Counts[i] != w {
-			t.Errorf("bucket %d = %d, want %d", i, h.Counts[i], w)
-		}
-	}
-	cum := h.Cumulative()
-	if !almost(cum[len(cum)-1], 1.0, 1e-9) {
-		t.Errorf("cumulative tail = %v", cum)
-	}
-}
-
-func TestHistogramEmptyFraction(t *testing.T) {
-	h := NewHistogram(1, 2)
-	for _, f := range h.Fraction() {
-		if f != 0 {
-			t.Error("empty histogram fractions must be zero")
-		}
-	}
-}
-
 func TestTimeSeriesCSV(t *testing.T) {
 	var ts TimeSeries
 	ts.Add(1, 2)

@@ -126,72 +126,6 @@ func TestV1QueueFullAndDrainingEnvelope(t *testing.T) {
 	}
 }
 
-// TestV1LegacyRedirects checks the pre-versioning paths 301/308 onto /v1
-// with the Deprecation header, and that a redirect-following client still
-// completes the old flows end to end.
-func TestV1LegacyRedirects(t *testing.T) {
-	s, srv := newAPI(t, Config{Workers: 1})
-	noFollow := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
-		return http.ErrUseLastResponse
-	}}
-
-	for path, want := range map[string]string{
-		"/jobs":    "/v1/jobs",
-		"/healthz": "/v1/healthz",
-		"/stats":   "/v1/stats",
-	} {
-		resp, err := noFollow.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusMovedPermanently {
-			t.Fatalf("GET %s: %d, want 301", path, resp.StatusCode)
-		}
-		if loc := resp.Header.Get("Location"); loc != want {
-			t.Fatalf("GET %s Location = %q, want %q", path, loc, want)
-		}
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Fatalf("GET %s: missing Deprecation header", path)
-		}
-	}
-
-	// POST redirects must preserve the method: 308, not 301.
-	resp, err := noFollow.Post(srv.URL+"/jobs", "application/json", strings.NewReader("{}"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusPermanentRedirect {
-		t.Fatalf("POST /jobs: %d, want 308", resp.StatusCode)
-	}
-
-	// A default (redirect-following) client still completes the old flow.
-	body, _ := json.Marshal(JobSpec{Experiments: []string{"a"}})
-	resp2, err := http.Post(srv.URL+"/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v JobView
-	json.NewDecoder(resp2.Body).Decode(&v)
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusAccepted || v.ID == "" {
-		t.Fatalf("legacy submit via redirect: %d %+v", resp2.StatusCode, v)
-	}
-	await(t, s, v.ID)
-	resp3, err := http.Get(srv.URL + "/jobs/" + v.ID + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	text, _ := io.ReadAll(resp3.Body)
-	resp3.Body.Close()
-	if resp3.StatusCode != http.StatusOK || len(text) == 0 {
-		t.Fatalf("legacy result via redirect: %d %q", resp3.StatusCode, text)
-	}
-}
-
 // TestV1MetricsEndpoint checks GET /metrics serves parseable Prometheus
 // text covering the queue, worker and job instruments after work ran.
 func TestV1MetricsEndpoint(t *testing.T) {

@@ -12,10 +12,6 @@
 //	GET    /v1/stats             counters and percentiles  → 200 Stats
 //	GET    /metrics              Prometheus text exposition
 //
-// The pre-versioning paths (/jobs…, /healthz, /stats) redirect to their
-// /v1 equivalents for one release — 301 for GET/HEAD, 308 (method
-// preserving) otherwise — with a Deprecation header.
-//
 // Every error is a JSON envelope {"error":{"code","message",…}} with a
 // typed code (see ErrorCode). Admission control stays visible on submit:
 // a full queue sheds with 429 queue_full plus Retry-After (header and
@@ -120,30 +116,7 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.Handle("GET /metrics", s.cfg.Telemetry.Handler())
-	// Deprecated pre-versioning paths (one release of grace).
-	mux.HandleFunc("/jobs", s.redirectLegacy)
-	mux.HandleFunc("/jobs/", s.redirectLegacy)
-	mux.HandleFunc("/healthz", s.redirectLegacy)
-	mux.HandleFunc("/stats", s.redirectLegacy)
 	return mux
-}
-
-// redirectLegacy maps a pre-versioning path onto /v1: permanent, cacheable
-// 301 for safe methods, 308 for POST/DELETE so the method (and body)
-// survive the redirect — Go's and curl's clients rewrite a 301 POST into
-// a GET, which would turn a submit into a list.
-func (s *Service) redirectLegacy(w http.ResponseWriter, r *http.Request) {
-	target := "/v1" + r.URL.Path
-	if r.URL.RawQuery != "" {
-		target += "?" + r.URL.RawQuery
-	}
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", `<`+target+`>; rel="successor-version"`)
-	code := http.StatusMovedPermanently
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		code = http.StatusPermanentRedirect
-	}
-	http.Redirect(w, r, target, code)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

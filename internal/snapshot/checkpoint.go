@@ -31,9 +31,10 @@ import (
 // while a mid-file checksum failure is disk corruption that callers may
 // want to alarm on. Resume rewrites the journal atomically (temp file,
 // fsync, rename, directory fsync), so a crash mid-rewrite leaves either
-// the old or the new complete journal, never a truncated one. Journals
-// written by the pre-checksum v1 JSONL format are read transparently and
-// upgraded to v2 on the first Open.
+// the old or the new complete journal, never a truncated one. A file
+// without the v2 magic (such as a pre-checksum v1 JSONL journal) is not
+// read at all: every byte is quarantined from offset 0, as a corrupt tail
+// (torn if the file is a truncated magic), and the store starts empty.
 //
 // A campaign-key mismatch discards the journal — results from different
 // parameters must never be resumed into each other.
@@ -154,6 +155,16 @@ func parseFrames(data []byte, fn func(payload []byte) bool) (off int64, reason s
 	return off, ""
 }
 
+// magicTail classifies bytes that do not start with the journal magic: a
+// prefix of it is a torn first write, anything else (such as a
+// pre-checksum v1 JSONL journal) is not a v2 journal and is corrupt.
+func magicTail(data []byte) string {
+	if bytes.HasPrefix(journalMagic[:], data) {
+		return TailTorn
+	}
+	return TailCorrupt
+}
+
 // Open opens (or creates) the checkpoint journal at path for the given
 // campaign key using the real filesystem. See OpenFS.
 func Open(path, campaign string) (*Store, error) {
@@ -163,10 +174,10 @@ func Open(path, campaign string) (*Store, error) {
 // OpenFS opens (or creates) the checkpoint journal at path for the given
 // campaign key, with all filesystem access through fsys. An existing
 // journal with a matching key is replayed so Get returns its completed
-// cells; a mismatched or unreadable journal is discarded and the file
-// restarted. An undecodable tail is preserved in path+".quarantine" and
-// reported by Quarantined, and the journal is rewritten atomically
-// without it.
+// cells; a mismatched journal is discarded and the file restarted. An
+// undecodable tail (the whole file when it lacks the v2 magic) is
+// preserved in path+".quarantine" and reported by Quarantined, and the
+// journal is rewritten atomically without it.
 func OpenFS(fsys fsio.FS, path, campaign string) (*Store, error) {
 	st := &Store{fs: fsys, path: path, cells: make(map[string]json.RawMessage)}
 	if err := fsys.MkdirAll(filepath.Dir(path)); err != nil {
@@ -191,7 +202,7 @@ func OpenFS(fsys fsio.FS, path, campaign string) (*Store, error) {
 	}
 
 	if !clean {
-		// Fresh journal, v1 upgrade, discarded campaign, or dropped tail:
+		// Fresh journal, discarded campaign, or dropped tail:
 		// rewrite the canonical v2 file atomically. A crash at any byte of
 		// this leaves the previous complete journal in place.
 		if err := fsio.Replace(fsys, path, st.encode(campaign)); err != nil {
@@ -207,19 +218,15 @@ func OpenFS(fsys fsio.FS, path, campaign string) (*Store, error) {
 	return st, nil
 }
 
-// replay parses a pre-existing journal (v2 or legacy v1 JSONL), keeping
-// its cells only when the campaign key matches. It returns whether the
-// file is already the canonical v2 encoding of the replayed state (so
-// Open can skip the rewrite).
+// replay parses a pre-existing journal, keeping its cells only when the
+// campaign key matches. It returns whether the file is already the
+// canonical v2 encoding of the replayed state (so Open can skip the
+// rewrite).
 func (st *Store) replay(data []byte, campaign string) bool {
-	if len(data) >= len(journalMagic) && bytes.Equal(data[:len(journalMagic)], journalMagic[:]) {
-		return st.replayV2(data, campaign)
+	if !bytes.HasPrefix(data, journalMagic[:]) {
+		st.quarantine = &Quarantine{Reason: magicTail(data), Bytes: int64(len(data))}
+		return false
 	}
-	st.replayV1(data, campaign)
-	return false // v1 is always upgraded
-}
-
-func (st *Store) replayV2(data []byte, campaign string) bool {
 	body := data[len(journalMagic):]
 	sawHeader, campaignOK := false, false
 	order := make([]string, 0, 16)
@@ -262,47 +269,6 @@ func (st *Store) replayV2(data []byte, campaign string) bool {
 		return false
 	}
 	return true
-}
-
-// replayV1 parses the legacy JSONL format (header line, then one JSON
-// object per cell). Unparseable lines are the old format's torn-write
-// artifact and are dropped, as v1 always did.
-func (st *Store) replayV1(data []byte, campaign string) {
-	lines := splitLines(data)
-	if len(lines) == 0 {
-		return
-	}
-	var hdr journalHeader
-	if err := json.Unmarshal(lines[0], &hdr); err != nil || hdr.Campaign != campaign {
-		return // different campaign (or garbage): start fresh
-	}
-	for _, raw := range lines[1:] {
-		var l journalLine
-		if err := json.Unmarshal(raw, &l); err != nil || l.Cell == "" {
-			continue // partial trailing line from an interrupted write
-		}
-		if _, dup := st.cells[l.Cell]; !dup {
-			st.loaded++
-		}
-		st.cells[l.Cell] = l.Data
-	}
-}
-
-func splitLines(data []byte) [][]byte {
-	var out [][]byte
-	start := 0
-	for i, b := range data {
-		if b == '\n' {
-			if i > start {
-				out = append(out, data[start:i])
-			}
-			start = i + 1
-		}
-	}
-	if start < len(data) {
-		out = append(out, data[start:])
-	}
-	return out
 }
 
 // encode renders the canonical v2 journal bytes for the current cells.

@@ -15,7 +15,7 @@ import (
 // commits (a cell key appearing twice means some process re-executed and
 // re-committed a cell the journal already held).
 type InspectResult struct {
-	// Version is 2 for the framed format, 1 for legacy JSONL.
+	// Version is 2 for the framed format, 0 for bytes without its magic.
 	Version int
 	// Campaign is the journal's header key.
 	Campaign string
@@ -69,15 +69,12 @@ func Inspect(path string) (InspectResult, error) {
 	return InspectBytes(data), nil
 }
 
-// InspectBytes audits raw journal bytes (v2 or legacy v1 JSONL).
+// InspectBytes audits raw journal bytes. Bytes without the v2 magic are
+// reported whole as a tail at offset 0, as Open would quarantine them.
 func InspectBytes(data []byte) InspectResult {
-	if len(data) >= len(journalMagic) && bytes.Equal(data[:len(journalMagic)], journalMagic[:]) {
-		return inspectV2(data)
+	if !bytes.HasPrefix(data, journalMagic[:]) {
+		return InspectResult{TailReason: magicTail(data), TailBytes: int64(len(data))}
 	}
-	return inspectV1(data)
-}
-
-func inspectV2(data []byte) InspectResult {
 	res := InspectResult{Version: 2}
 	body := data[len(journalMagic):]
 	sawHeader := false
@@ -101,28 +98,6 @@ func inspectV2(data []byte) InspectResult {
 	res.TailReason = reason
 	res.TailOffset = int64(len(journalMagic)) + off
 	res.TailBytes = int64(len(body)) - off
-	return res
-}
-
-func inspectV1(data []byte) InspectResult {
-	res := InspectResult{Version: 1}
-	lines := splitLines(data)
-	if len(lines) == 0 {
-		return res
-	}
-	var hdr journalHeader
-	if err := json.Unmarshal(lines[0], &hdr); err == nil {
-		res.Campaign = hdr.Campaign
-	}
-	for _, raw := range lines[1:] {
-		var l journalLine
-		if err := json.Unmarshal(raw, &l); err != nil || l.Cell == "" {
-			res.TailReason = TailTorn
-			res.TailBytes += int64(len(raw))
-			continue
-		}
-		res.Keys = append(res.Keys, l.Cell)
-	}
 	return res
 }
 

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -40,52 +41,41 @@ func buildJournal(t *testing.T, n int) (string, []byte) {
 	return path, data
 }
 
-// A legacy v1 JSONL journal must be read transparently and upgraded to
-// v2 on first Open.
-func TestV1ReadCompatAndUpgrade(t *testing.T) {
+// A legacy v1 JSONL journal is not read: Open keeps every byte of it in
+// the quarantine file as a corrupt tail at offset 0 and starts an empty v2
+// journal, so nothing resumes.
+func TestV1JournalQuarantined(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v1.jsonl")
-	v1 := `{"campaign":"legacy"}
+	v1 := []byte(`{"campaign":"legacy"}
 {"cell":"a","data":{"Name":"a","Count":1}}
 {"cell":"b","data":{"Name":"b","Count":2}}
-{"cell":"torn","data":{"Na`
-	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+{"cell":"torn","data":{"Na`)
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
 		t.Fatal(err)
+	}
+	res := InspectBytes(v1)
+	if res.TailReason != TailCorrupt || res.TailOffset != 0 || res.TailBytes != int64(len(v1)) || len(res.Keys) != 0 {
+		t.Fatalf("InspectBytes(v1) = %s, want a corrupt tail of every byte at 0", res)
 	}
 	st, err := Open(path, "legacy")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Resumed() != 2 {
-		t.Fatalf("Resumed = %d, want 2", st.Resumed())
+	defer st.Close()
+	if st.Resumed() != 0 || st.Len() != 0 {
+		t.Fatalf("Resumed = %d, Len = %d, want an empty store", st.Resumed(), st.Len())
 	}
-	var out kv
-	if !st.Get("a", &out) || out.Count != 1 {
-		t.Fatalf("cell a = %+v", out)
+	q, ok := st.Quarantined()
+	if !ok || q.Reason != TailCorrupt || q.Offset != 0 || q.Bytes != int64(len(v1)) {
+		t.Fatalf("Quarantined = %+v, %v", q, ok)
 	}
-	if st.Get("torn", &out) {
-		t.Fatal("v1 torn line should have been dropped")
+	kept, err := os.ReadFile(q.Path)
+	if err != nil || !bytes.Equal(kept, v1) {
+		t.Fatalf("quarantine holds %q (err %v), want the original v1 bytes", kept, err)
 	}
-	if err := st.Put("c", kv{Name: "c", Count: 3}); err != nil {
-		t.Fatal(err)
-	}
-	st.Close()
-
-	// The file on disk must now be v2.
 	data, _ := os.ReadFile(path)
-	res := InspectBytes(data)
-	if res.Version != 2 || res.Campaign != "legacy" || res.TailReason != "" {
-		t.Fatalf("after upgrade: %s", res)
-	}
-	if len(res.Keys) != 3 {
-		t.Fatalf("after upgrade keys = %v", res.Keys)
-	}
-	st2, err := Open(path, "legacy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if st2.Resumed() != 3 {
-		t.Fatalf("post-upgrade Resumed = %d, want 3", st2.Resumed())
+	if res := InspectBytes(data); res.Version != 2 || res.Campaign != "legacy" || res.TailReason != "" || len(res.Keys) != 0 {
+		t.Fatalf("journal after Open: %s, want an empty clean v2 journal", res)
 	}
 }
 
@@ -94,30 +84,29 @@ func TestV1ReadCompatAndUpgrade(t *testing.T) {
 // regression test for the old `os.Create`-in-place rewrite, which lost
 // the entire journal when killed mid-rewrite.
 func TestRewriteCrashAtEveryByteLosesNothing(t *testing.T) {
-	// A v1 journal forces Open down the rewrite path deterministically.
-	v1 := []byte(`{"campaign":"camp"}
-{"cell":"a","data":{"Name":"a","Count":1}}
-{"cell":"b","data":{"Name":"b","Count":2}}
-`)
+	// A torn tail forces Open down the quarantine-and-rewrite path
+	// deterministically.
+	_, clean := buildJournal(t, 2)
+	torn := append(clean, 0x05, 0x00, 0x00)
 	for k := int64(1); k < 400; k += 7 { // every write byte offset, strided for speed
 		dir := t.TempDir()
 		path := filepath.Join(dir, "j.journal")
-		if err := os.WriteFile(path, v1, 0o644); err != nil {
+		if err := os.WriteFile(path, torn, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		ff := fsio.NewFaulty(fsio.OS{}, fsio.FaultConfig{CrashAtByte: k})
-		if _, err := OpenFS(ff, path, "camp"); err == nil {
+		if _, err := OpenFS(ff, path, "matrix"); err == nil {
 			// Crash byte beyond the rewrite size: Open succeeded, fine.
 			continue
 		}
 		// The "machine" died mid-rewrite. The original journal must be
 		// intact for the next process.
-		st, err := Open(path, "camp")
+		st, err := Open(path, "matrix")
 		if err != nil {
 			t.Fatalf("crash@%d: reopen failed: %v", k, err)
 		}
 		var out kv
-		if !st.Get("a", &out) || !st.Get("b", &out) {
+		if !st.Get("cell/000", &out) || !st.Get("cell/001", &out) {
 			t.Fatalf("crash@%d: cells lost after interrupted rewrite", k)
 		}
 		st.Close()

@@ -68,19 +68,6 @@ func DefaultSwapConfig() SwapDeviceConfig {
 	}
 }
 
-// ZramSwapConfig models the legacy vendor "RAM plus" device as a plain
-// constant-ratio swap area: sizeBytes of DRAM hold sizeBytes×ratio of
-// swapped data at memory-ish speed, with no per-page compression model.
-// The DRAM the device occupies must be subtracted from the system by the
-// caller. For the Ariadne-style backend with per-page compressibility,
-// fallthrough and writeback, use Backend: BackendZram instead.
-func ZramSwapConfig(sizeBytes int64, ratio float64) SwapDeviceConfig {
-	return SwapDeviceConfig{
-		SizeBytes: int64(float64(sizeBytes) * ratio),
-		Profile:   ZramDeviceProfile(),
-	}
-}
-
 // NewSwapDevice builds a flash-style device from cfg.
 func NewSwapDevice(cfg SwapDeviceConfig) *SwapDevice {
 	return &SwapDevice{
