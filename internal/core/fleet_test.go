@@ -436,7 +436,7 @@ func TestBGCCorrectnessProperty(t *testing.T) {
 		for len(stack) > 0 {
 			id := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, ref := range h.Object(id).Refs {
+			for _, ref := range h.Refs(id) {
 				if ref != heap.NilObject && !reach[ref] {
 					reach[ref] = true
 					stack = append(stack, ref)
@@ -524,7 +524,7 @@ func TestGroupingPreservesGraph(t *testing.T) {
 	type edge struct{ from, to heap.ObjectID }
 	var before []edge
 	for _, id := range ids {
-		for _, ref := range h.Object(id).Refs {
+		for _, ref := range h.Refs(id) {
 			before = append(before, edge{id, ref})
 		}
 	}
@@ -536,7 +536,7 @@ func TestGroupingPreservesGraph(t *testing.T) {
 	}
 	i := 0
 	for _, id := range ids {
-		for _, ref := range h.Object(id).Refs {
+		for _, ref := range h.Refs(id) {
 			if before[i] != (edge{id, ref}) {
 				t.Fatal("reference graph changed across grouping")
 			}

@@ -126,7 +126,7 @@ func (rs *RememberedSet) appendCardSeeds(seeds []heap.ObjectID, res *Result, now
 			stall, terr := h.VM.TouchRange(h.AS, o.Addr, int64(o.Size), false)
 			res.GCFaultStall += stall
 			res.noteErr(terr)
-			for _, ref := range o.Refs {
+			for _, ref := range h.Refs(id) {
 				if ref == heap.NilObject {
 					continue
 				}

@@ -147,7 +147,7 @@ func TestMajorPreservesRefsAcrossCompaction(t *testing.T) {
 	Major(h, nil, 0)
 	// References are by ID, so the graph structure must be intact and
 	// addresses must have changed (evacuation).
-	if h.Object(root).Refs[0] != a || h.Object(a).Refs[0] != b {
+	if h.Refs(root)[0] != a || h.Refs(a)[0] != b {
 		t.Error("reference graph corrupted by compaction")
 	}
 }
@@ -327,7 +327,7 @@ func TestMajorLivenessMatchesReachability(t *testing.T) {
 		for len(stack) > 0 {
 			id := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, ref := range h.Object(id).Refs {
+			for _, ref := range h.Refs(id) {
 				if ref != heap.NilObject && !expected[ref] {
 					expected[ref] = true
 					stack = append(stack, ref)
@@ -405,7 +405,7 @@ func TestTraceFastMatchesReachability(t *testing.T) {
 		}
 		for head := 0; head < len(frontier); head++ {
 			id := frontier[head]
-			for _, ref := range h.Object(id).Refs {
+			for _, ref := range h.Refs(id) {
 				if _, seen := depth[ref]; !seen && ref != heap.NilObject && h.Object(ref).Live() {
 					depth[ref] = depth[id] + 1
 					frontier = append(frontier, ref)

@@ -74,7 +74,7 @@ func Trace(h *heap.Heap, seeds []heap.ObjectID, opts TraceOpts) TraceStats {
 	// The callback-bearing loop also drives its mark checks through the
 	// dense mark/size table: one 8-byte load per examined reference (the
 	// dead sentinel folds in nil/dead, see traceFast) instead of loading
-	// the ~96-byte Object record per edge. Callbacks are pure predicates
+	// the 40-byte Object record per edge. Callbacks are pure predicates
 	// over heap state, so skipping them for already-marked references
 	// (which the table check does first) is unobservable. No callback
 	// allocates, so the view stays valid.
@@ -107,7 +107,7 @@ func Trace(h *heap.Heap, seeds []heap.ObjectID, opts TraceOpts) TraceStats {
 		if opts.OnVisit != nil {
 			opts.OnVisit(it.ID, int(it.Depth))
 		}
-		for _, ref := range o.Refs {
+		for _, ref := range h.Refs(it.ID) {
 			w := ms[uint32(ref)]
 			if uint32(w) >= gen {
 				continue // nil, dead or already marked
@@ -331,7 +331,7 @@ func Depths(h *heap.Heap) DepthTable {
 	for head := 0; head < len(queue); head++ {
 		id := queue[head].ID
 		d := depths[id]
-		for _, ref := range h.Object(id).Refs {
+		for _, ref := range h.Refs(id) {
 			if ref == heap.NilObject || !h.Object(ref).Live() {
 				continue
 			}

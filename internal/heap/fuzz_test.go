@@ -143,7 +143,7 @@ func collectForFuzz(h *Heap, now time.Duration) {
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, ref := range h.Object(id).Refs {
+		for _, ref := range h.Refs(id) {
 			if ref != NilObject && h.Object(ref).Live() && h.Mark(ref) {
 				stack = append(stack, ref)
 			}
@@ -178,8 +178,8 @@ func collectForFuzz(h *Heap, now time.Duration) {
 // model, then compares each live object's Refs view against the model. It
 // exercises exactly what the CSR arena must get right: append growth
 // (in-place and relocating), set-with-gap-fill, clears, span reuse by the
-// recycled ObjectID's next tenant, compaction, and view re-aliasing when
-// the arena's backing array moves.
+// recycled ObjectID's next tenant, compaction, and views read after the
+// arena's backing array moves.
 func TestEdgeArenaCrossCheck(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		runEdgeCrossCheck(t, seed)
@@ -204,7 +204,7 @@ func runEdgeCrossCheck(t *testing.T, seed uint64) {
 			if !h.Object(id).Live() {
 				continue
 			}
-			got := h.Object(id).Refs
+			got := h.Refs(id)
 			want := model[id]
 			if len(got) != len(want) {
 				t.Fatalf("seed %d step %d obj %d: %d refs, model has %d",

@@ -86,26 +86,25 @@ func (k RegionKind) String() string {
 // heap's struct-of-arrays tables (see soa.go): the hot per-object state —
 // size, liveness, mark generation, region index, edge span — also lives in
 // dense ObjectID-indexed slices that collectors walk without loading these
-// ~96-byte records. The duplicated fields here are kept in sync by the
+// 40-byte records. The duplicated fields here are kept in sync by the
 // heap-internal mutators (Alloc, KillObject, Evacuator.Copy).
+//
+// The record holds no pointer (references live in the heap's edge arena,
+// read through Heap.Refs), so the Go collector never scans an object table;
+// fields are ordered widest first so it packs without padding holes.
 type Object struct {
 	Seq  uint64 // monotonic allocation sequence number ("object ID" in Fig. 4)
-	Size int32  // bytes, including header
 	Addr int64  // current virtual address (changes on evacuation)
-
-	// Refs is the object's outgoing references. The slice is a read-only
-	// alias of the object's span in the heap's shared CSR edge arena; it is
-	// re-pointed by the heap whenever the span moves. Mutate references
-	// only through SetRef/AddRef/ClearRefs.
-	Refs []ObjectID
-
-	Region  int32 // owning region ID
-	Epoch   Epoch
-	AllocGC int32 // heap GC count at allocation (lifetime analysis, Fig. 5)
 
 	// LastAccess is the virtual time of the most recent mutator access,
 	// used by the analysis figures and by WS classification.
 	LastAccess time.Duration
+
+	Size    int32 // bytes, including header
+	Region  int32 // owning region ID
+	AllocGC int32 // heap GC count at allocation (lifetime analysis, Fig. 5)
+
+	Epoch Epoch
 
 	// Pinned objects are never evacuated (Marvin stubs, class metadata).
 	Pinned bool
@@ -431,9 +430,7 @@ func (h *Heap) Alloc(size int32, epoch Epoch, now time.Duration) (ObjectID, time
 	h.seq++
 	// Reuse the dead tenant's arena span (capacity kept, length reset).
 	h.espan[id] &= spanOffMask
-	off := int32(h.espan[id] >> 32)
-	o := &h.objects[id]
-	*o = Object{
+	h.objects[id] = Object{
 		Seq:        h.seq,
 		Size:       size,
 		Addr:       addr,
@@ -442,7 +439,6 @@ func (h *Heap) Alloc(size int32, epoch Epoch, now time.Duration) (ObjectID, time
 		AllocGC:    h.stats.GCCount,
 		LastAccess: now,
 		live:       true,
-		Refs:       h.edges[off : off : off+h.ecap[id]],
 	}
 	h.msize[id] = uint64(uint32(size)) << 32 // mark cleared
 	h.liveb[id] = 1
@@ -548,8 +544,10 @@ func (h *Heap) AddRef(from, to ObjectID, now time.Duration) (time.Duration, erro
 // ClearRefs drops all outgoing references of from (the workload's way of
 // making a subgraph unreachable).
 func (h *Heap) ClearRefs(from ObjectID, now time.Duration) (time.Duration, error) {
+	if !h.objects[from].live {
+		return 0, fmt.Errorf("%w: ClearRefs on %d", ErrDeadObject, from)
+	}
 	h.espan[from] &= spanOffMask
-	h.setRefsView(from)
 	return h.Access(from, true, now)
 }
 

@@ -2,8 +2,10 @@ package heap
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"fleetsim/internal/mem"
 	"fleetsim/internal/units"
@@ -117,7 +119,7 @@ func TestRootsAndRefs(t *testing.T) {
 	if len(h.Roots()) != 1 {
 		t.Errorf("roots = %d", len(h.Roots()))
 	}
-	if got := h.Object(root).Refs; len(got) != 1 || got[0] != child {
+	if got := h.Refs(root); len(got) != 1 || got[0] != child {
 		t.Errorf("refs = %v", got)
 	}
 	h.RemoveRoot(root)
@@ -131,7 +133,7 @@ func TestSetRefGrowsSlots(t *testing.T) {
 	a, _, _ := h.Alloc(64, EpochForeground, 0)
 	b, _, _ := h.Alloc(64, EpochForeground, 0)
 	h.SetRef(a, 3, b, 0)
-	refs := h.Object(a).Refs
+	refs := h.Refs(a)
 	if len(refs) != 4 || refs[3] != b || refs[0] != NilObject {
 		t.Errorf("refs = %v", refs)
 	}
@@ -143,8 +145,49 @@ func TestClearRefs(t *testing.T) {
 	b, _, _ := h.Alloc(64, EpochForeground, 0)
 	h.AddRef(a, b, 0)
 	h.ClearRefs(a, 0)
-	if len(h.Object(a).Refs) != 0 {
+	if len(h.Refs(a)) != 0 {
 		t.Error("refs not cleared")
+	}
+}
+
+func TestClearRefsOnDeadObject(t *testing.T) {
+	// Marvin's sweep reads a dead object's span length for its stub size,
+	// so a refused ClearRefs must leave the span alone.
+	h := newTestHeap()
+	a, _, _ := h.Alloc(64, EpochForeground, 0)
+	b, _, _ := h.Alloc(64, EpochForeground, 0)
+	h.AddRef(a, b, 0)
+	h.KillObject(a)
+	if _, err := h.ClearRefs(a, 0); !errors.Is(err, ErrDeadObject) {
+		t.Fatalf("ClearRefs on dead object: err = %v, want ErrDeadObject", err)
+	}
+	if got := h.Refs(a); len(got) != 1 || got[0] != b {
+		t.Errorf("dead object's refs = %v, want [%d] untouched", got, b)
+	}
+}
+
+// TestObjectRecordLayout pins the object record at 40 pointer-free bytes.
+// A field that can hold a pointer would put every app's object table back
+// under the Go collector's scan, and a wider record grows every table.
+func TestObjectRecordLayout(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.String,
+			reflect.Interface, reflect.Func, reflect.Chan, reflect.UnsafePointer:
+			t.Errorf("%s is a %s: Object must hold no pointer", path, typ.Kind())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		}
+	}
+	walk("Object", reflect.TypeOf(Object{}))
+	if got := unsafe.Sizeof(Object{}); got != 40 {
+		t.Errorf("unsafe.Sizeof(Object{}) = %d, want 40", got)
 	}
 }
 
@@ -361,8 +404,8 @@ func TestHeapBytes(t *testing.T) {
 }
 
 func TestRefsSliceReuseNotAliased(t *testing.T) {
-	// Regression guard: a recycled object slot reuses the Refs backing
-	// array; ensure the new object starts with zero refs.
+	// Regression guard: a recycled object slot reuses the dead tenant's
+	// edge-arena span; ensure the new object starts with zero refs.
 	h := newTestHeap()
 	a, _, _ := h.Alloc(64, EpochForeground, 0)
 	b, _, _ := h.Alloc(64, EpochForeground, 0)
@@ -372,7 +415,7 @@ func TestRefsSliceReuseNotAliased(t *testing.T) {
 	if c != a {
 		t.Skip("slot not recycled in this configuration")
 	}
-	if len(h.Object(c).Refs) != 0 {
+	if len(h.Refs(c)) != 0 {
 		t.Error("recycled object inherited refs")
 	}
 }

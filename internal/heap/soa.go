@@ -2,10 +2,12 @@ package heap
 
 // This file holds the struct-of-arrays side of the heap: the dense
 // per-object tables (sizes, liveness, marks, region indexes) and the CSR
-// edge arena that backs every Object.Refs slice. The layout exists for the
-// GC trace hot path: a mark pass over the SoA view reads a few bytes per
-// object from contiguous tables instead of loading scattered ~96-byte
-// Object records and chasing per-object slice headers.
+// edge arena that holds every object's outgoing references. The layout
+// exists for the GC trace hot path: a mark pass over the SoA view reads a
+// few bytes per object from contiguous tables instead of loading scattered
+// 40-byte Object records. Keeping references out of the records also
+// keeps every object table pointer-free, so the Go collector never scans
+// one.
 //
 // Edge-arena invariants:
 //
@@ -13,10 +15,10 @@ package heap
 //     high half of the packed span word espan[id] (off<<32 | len); the
 //     first len entries are its references. Spans of distinct slots never
 //     overlap.
-//   - Object.Refs is a three-index alias of the span
-//     (edges[off : off+len : off+ecap]), re-pointed by setRefsView
-//     whenever the span's offset or length changes, and by
-//     refreshRefViews whenever the arena's backing array moves.
+//   - Nothing keeps a pointer into the arena: Heap.Refs hands out a
+//     three-index view of a span (edges[off : off+len : off+ecap]) that
+//     is valid only until the next reference mutation, which may move the
+//     span or the whole backing array.
 //   - A span that outgrows its capacity is extended in place when it is
 //     the arena's last span, otherwise relocated to the arena end; the
 //     orphaned slots are counted in edgeWaste.
@@ -87,22 +89,15 @@ func (h *Heap) growSoA() {
 	h.ecap = append(h.ecap, 0)
 }
 
-// setRefsView re-points the object's public Refs field at its current
-// span. The capacity index stops an (erroneous) append through the view
-// from clobbering a neighbouring span.
-func (h *Heap) setRefsView(id ObjectID) {
+// Refs returns id's outgoing references as a read-only view of its span
+// in the edge arena (NilObject entries are empty slots). The view is valid
+// until the next SetRef, AddRef or ClearRefs on this heap, any of which
+// may move the arena; mutate references only through those calls. The
+// capacity index stops an (erroneous) append through the view from
+// clobbering a neighbouring span.
+func (h *Heap) Refs(id ObjectID) []ObjectID {
 	off, n := h.span(id)
-	h.objects[id].Refs = h.edges[off : off+n : off+h.ecap[id]]
-}
-
-// refreshRefViews re-points every object's Refs alias; needed whenever the
-// arena's backing array moves (growth reallocation or compaction). Cost is
-// O(objects), amortized against the doubling growth that triggered it.
-func (h *Heap) refreshRefViews() {
-	for id := 1; id < len(h.objects); id++ {
-		off, n := h.span(ObjectID(id))
-		h.objects[id].Refs = h.edges[off : off+n : off+h.ecap[id]]
-	}
+	return h.edges[off : off+n : off+h.ecap[id]]
 }
 
 // appendEdge appends one reference to id's span.
@@ -114,7 +109,6 @@ func (h *Heap) appendEdge(id, to ObjectID) {
 	off, _ := h.span(id)
 	h.edges[off+n] = to
 	h.espan[id] = packSpan(off, n+1)
-	h.setRefsView(id)
 }
 
 // setEdge writes id's i-th reference slot, NilObject-filling any gap. Gap
@@ -132,7 +126,6 @@ func (h *Heap) setEdge(id ObjectID, i int, to ObjectID) {
 	}
 	h.edges[off+int32(i)] = to
 	h.espan[id] = packSpan(off, n)
-	h.setRefsView(id)
 }
 
 // extendArena grows the arena's length by add slots without initialising
@@ -159,7 +152,6 @@ func (h *Heap) growSpan(id ObjectID, need int32) {
 	for newCap < need {
 		newCap *= 2
 	}
-	oldBacking := cap(h.edges)
 	off, n := h.span(id)
 	if cur > 0 && int(off)+int(cur) == len(h.edges) {
 		h.extendArena(int(newCap - cur))
@@ -171,11 +163,6 @@ func (h *Heap) growSpan(id ObjectID, need int32) {
 		h.espan[id] = packSpan(newOff, n)
 	}
 	h.ecap[id] = newCap
-	if cap(h.edges) != oldBacking {
-		h.refreshRefViews()
-	} else {
-		h.setRefsView(id)
-	}
 	h.maybeCompactEdges()
 }
 
@@ -201,7 +188,6 @@ func (h *Heap) maybeCompactEdges() {
 	}
 	h.edges = fresh
 	h.edgeWaste = 0
-	h.refreshRefViews()
 }
 
 // View is the collectors' window onto the heap's struct-of-arrays tables.

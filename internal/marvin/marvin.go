@@ -119,14 +119,16 @@ func (m *Marvin) NoteAccess(id heap.ObjectID) {
 	}
 	o := m.h.Object(id)
 	delete(m.bookmarked, id)
-	m.stubBytes -= stubSize(o)
+	m.stubBytes -= m.stubSize(id)
 	// The page fault itself was paid by heap.Access; re-pin so the kernel
 	// LRU leaves the revived object alone.
 	m.vm.Pin(m.h.AS, o.Addr, int64(o.Size))
 }
 
-func stubSize(o *heap.Object) int64 {
-	return StubBytesBase + StubBytesPerRef*int64(len(o.Refs))
+// stubSize is the resident stub footprint of a bookmarked object: a fixed
+// header plus one slot per outgoing reference.
+func (m *Marvin) stubSize(id heap.ObjectID) int64 {
+	return StubBytesBase + StubBytesPerRef*int64(len(m.h.Refs(id)))
 }
 
 // SwapOutCold is Marvin's proactive reclaimer: evict up to budgetBytes of
@@ -184,7 +186,7 @@ func (m *Marvin) SwapOutCold(now time.Duration, budgetBytes int64) (objects int,
 		// neighbours); DRAM is therefore reclaimed at GC, as in Marvin.
 		ev.Copy(c.id, heap.KindCold)
 		m.bookmarked[c.id] = struct{}{}
-		m.stubBytes += stubSize(o)
+		m.stubBytes += m.stubSize(c.id)
 		objects++
 		bytes += int64(o.Size)
 		pause += SwapOutSTWPerObject
@@ -294,7 +296,7 @@ func (m *Marvin) RunGC(now time.Duration) gc.Result {
 				// Dead: drop stub (if still bookmarked).
 				if _, ok := m.bookmarked[id]; ok {
 					delete(m.bookmarked, id)
-					m.stubBytes -= stubSize(o)
+					m.stubBytes -= m.stubSize(id)
 				}
 				if m.StrictObjectSlots {
 					m.vm.ReleaseRange(h.AS, slotBase, slot)

@@ -316,7 +316,7 @@ func TestGCLivenessWithMixedResidency(t *testing.T) {
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, ref := range h.Object(id).Refs {
+		for _, ref := range h.Refs(id) {
 			if ref != heap.NilObject && !reach[ref] {
 				reach[ref] = true
 				stack = append(stack, ref)

@@ -198,8 +198,9 @@ func HeapDigest(hp *heap.Heap) Digest {
 		h.I32(o.Region)
 		h.Byte(byte(o.Epoch))
 		h.Dur(o.LastAccess)
-		h.U64(uint64(len(o.Refs)))
-		for _, ref := range o.Refs {
+		refs := hp.Refs(id)
+		h.U64(uint64(len(refs)))
+		for _, ref := range refs {
 			h.I32(int32(ref))
 		}
 	})

@@ -12,51 +12,18 @@ import (
 // walk instead of re-entering the page-state machine per object access.
 // Evacuation writes dozens of sub-page objects into each destination page;
 // the per-object path paid a Touch (page-state switch, LRU update, kswapd
-// balance check) for every one of them. ApplyBatch collapses each page's
-// consecutive touches into one application: a single fault/LRU insertion,
-// the touch multiplicity replayed in O(1) (the LRU referenced/active
-// transitions saturate), and one balance check per page instead of one per
-// object.
+// balance check) for every one of them. Batch collapses touches as they are
+// recorded: a touch of the page the last run ended on extends that run, any
+// other page opens a new one, so an evacuation buffers one entry per
+// destination page rather than one per copied object. ApplyBatch then
+// applies each run once: a single fault/LRU insertion, the touch
+// multiplicity replayed in O(1) (the LRU referenced/active transitions
+// saturate), and one balance check per page instead of one per object.
 //
 // The zero value is ready to use; ApplyBatch resets the batch for reuse.
 type Batch struct {
-	accs []access
+	runs []pageRun
 }
-
-// access is one recorded Touch: a byte range of one address space.
-type access struct {
-	as         *mem.AddressSpace
-	addr, size int64
-	write      bool
-	pin        bool
-}
-
-// Touch records an access to [addr, addr+size) of as.
-func (b *Batch) Touch(as *mem.AddressSpace, addr, size int64, write bool) {
-	if size <= 0 {
-		return
-	}
-	b.accs = append(b.accs, access{as: as, addr: addr, size: size, write: write})
-}
-
-// TouchPin records a write that must also pin its pages (Marvin's
-// unevictable destination regions). Pinning happens during ApplyBatch as
-// each page is applied — before any later page's fault can trigger a
-// reclaim — so reclaim cannot steal an earlier destination page
-// mid-batch, matching the pin-as-you-copy behaviour of the per-object
-// path.
-func (b *Batch) TouchPin(as *mem.AddressSpace, addr, size int64, write bool) {
-	if size <= 0 {
-		return
-	}
-	b.accs = append(b.accs, access{as: as, addr: addr, size: size, write: write, pin: true})
-}
-
-// Len returns the number of recorded accesses pending.
-func (b *Batch) Len() int { return len(b.accs) }
-
-// Reset drops pending accesses, keeping the buffer.
-func (b *Batch) Reset() { b.accs = b.accs[:0] }
 
 // pageRun is the collapsed form of consecutive recorded touches of one
 // page: how many accesses hit it and whether any wrote or pinned.
@@ -68,12 +35,51 @@ type pageRun struct {
 	pin   bool
 }
 
-// ApplyBatch services every touch recorded in b in one pass. Accesses are
-// walked in record order and consecutive touches of the same page collapse
-// into one application, so the observable page-state sequence — fault
-// order, LRU insertion order, referenced/active promotions, dirty and pin
-// bits — is the same as if each access had called Touch itself, while the
-// page-table work is done once per page run instead of once per access.
+// Touch records an access to [addr, addr+size) of as.
+func (b *Batch) Touch(as *mem.AddressSpace, addr, size int64, write bool) {
+	b.record(as, addr, size, write, false)
+}
+
+// TouchPin records a write that must also pin its pages (Marvin's
+// unevictable destination regions). Pinning happens during ApplyBatch as
+// each page is applied — before any later page's fault can trigger a
+// reclaim — so reclaim cannot steal an earlier destination page
+// mid-batch, matching the pin-as-you-copy behaviour of the per-object
+// path.
+func (b *Batch) TouchPin(as *mem.AddressSpace, addr, size int64, write bool) {
+	b.record(as, addr, size, write, true)
+}
+
+// record folds one access into the run list, page by page in address
+// order.
+func (b *Batch) record(as *mem.AddressSpace, addr, size int64, write, pin bool) {
+	if size <= 0 {
+		return
+	}
+	last := units.PageIndex(addr + size - 1)
+	for pi := units.PageIndex(addr); pi <= last; pi++ {
+		if n := len(b.runs); n > 0 && b.runs[n-1].as == as && b.runs[n-1].idx == pi {
+			r := &b.runs[n-1]
+			r.count++
+			r.write = r.write || write
+			r.pin = r.pin || pin
+			continue
+		}
+		b.runs = append(b.runs, pageRun{as: as, idx: pi, count: 1, write: write, pin: pin})
+	}
+}
+
+// Len returns the number of page runs pending.
+func (b *Batch) Len() int { return len(b.runs) }
+
+// Reset drops pending runs, keeping the buffer.
+func (b *Batch) Reset() { b.runs = b.runs[:0] }
+
+// ApplyBatch services every page run recorded in b in record order, so the
+// observable page-state sequence — fault order, LRU insertion order,
+// referenced/active promotions, dirty and pin bits — is the same as if each
+// access had called Touch itself, while the page-table work is done once
+// per page run instead of once per access.
 //
 // The returned stall is the total synchronous fault time; the error is the
 // first vmem error hit (later runs are still applied, mirroring the
@@ -82,34 +88,13 @@ type pageRun struct {
 func (m *Manager) ApplyBatch(b *Batch) (time.Duration, error) {
 	var stall time.Duration
 	var firstErr error
-	var run pageRun
-	flush := func() {
-		if run.count == 0 {
-			return
-		}
-		io, err := m.applyRun(&run)
+	for i := range b.runs {
+		io, err := m.applyRun(&b.runs[i])
 		stall += io
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
-		run.count = 0
 	}
-	for i := range b.accs {
-		a := &b.accs[i]
-		first := units.PageIndex(a.addr)
-		last := units.PageIndex(a.addr + a.size - 1)
-		for pi := first; pi <= last; pi++ {
-			if run.count > 0 && run.as == a.as && run.idx == pi {
-				run.count++
-				run.write = run.write || a.write
-				run.pin = run.pin || a.pin
-				continue
-			}
-			flush()
-			run = pageRun{as: a.as, idx: pi, count: 1, write: a.write, pin: a.pin}
-		}
-	}
-	flush()
 	b.Reset()
 	return stall, firstErr
 }
