@@ -490,18 +490,6 @@ func (a *App) Views() []heap.ObjectID { return a.views }
 // Root returns the root object.
 func (a *App) Root() heap.ObjectID { return a.root }
 
-// RecentDeep returns the recent deep-allocation pool.
-func (a *App) RecentDeep() []heap.ObjectID { return a.recentDeep }
-
-// ChainObjects returns all current deep-data object ids (flattened).
-func (a *App) ChainObjects() []heap.ObjectID {
-	var out []heap.ObjectID
-	for _, c := range a.chains {
-		out = append(out, c.ids...)
-	}
-	return out
-}
-
 // FootprintBytes is the app's total resident+swapped memory.
 func (a *App) FootprintBytes() int64 {
 	return a.H.AS.FootprintBytes() + a.NativeAS.FootprintBytes()

@@ -214,7 +214,7 @@ func (f *Fleet) RunGrouping(now time.Duration) gc.Result {
 	}
 
 	h.BeginTrace()
-	st := gc.Trace(h, seeds, gc.TraceOpts{
+	res.AddTrace(gc.Trace(h, seeds, gc.TraceOpts{
 		BFS: true,
 		Now: now,
 		OnVisit: func(id heap.ObjectID, depth int) {
@@ -236,55 +236,22 @@ func (f *Fleet) RunGrouping(now time.Duration) gc.Result {
 				gs.ColdBytes += int64(o.Size)
 			}
 		},
-	})
-	res.ObjectsTraced = st.ObjectsTraced
-	res.BytesTraced = st.BytesTraced
-	res.GCThreadCPU += st.CPU
-	res.GCFaultStall += st.FaultStall
-	if res.Err == nil {
-		res.Err = st.Err
-	}
+	}))
 
 	// Evacuate everything into typed to-regions.
 	var from []*heap.Region
 	h.Regions(func(r *heap.Region) { from = append(from, r) })
 	ev := h.NewEvacuator()
-	for _, r := range from {
-		for _, id := range r.Objects {
-			o := h.Object(id)
-			if !o.Live() || o.Region != r.ID {
-				continue
-			}
-			if !h.Marked(id) {
-				res.ObjectsFreed++
-				res.BytesFreed += int64(o.Size)
-				h.KillObject(id)
-				continue
-			}
-			var kind heap.RegionKind
-			switch f.classes[id] {
-			case ClassNRO, ClassFYO:
-				kind = heap.KindLaunch
-			case ClassWS:
-				kind = heap.KindWS
-			default:
-				kind = heap.KindCold
-			}
-			ev.Copy(id, kind)
-			res.ObjectsCopied++
-			res.BytesCopied += int64(o.Size)
-			res.GCThreadCPU += gc.CopyCPU + vmem.DRAMCost(2*int64(o.Size))
+	gc.Evacuate(h, ev, &res, from, func(id heap.ObjectID) heap.RegionKind {
+		switch f.classes[id] {
+		case ClassNRO, ClassFYO:
+			return heap.KindLaunch
+		case ClassWS:
+			return heap.KindWS
+		default:
+			return heap.KindCold
 		}
-	}
-	ev.Finish()
-	res.GCFaultStall += ev.Stall
-	if res.Err == nil {
-		res.Err = ev.Err
-	}
-	for _, r := range from {
-		h.FreeRegion(r)
-		res.RegionsFreed++
-	}
+	})
 
 	// All surviving objects are now FGO by definition: the app is in the
 	// background and everything predating this moment counts as foreground
@@ -364,13 +331,11 @@ func (f *Fleet) RunBGC(now time.Duration) gc.Result {
 	}
 	allocSinceGC := h.BytesSinceGC
 
-	isBGO := func(id heap.ObjectID) bool {
-		return !h.RegionByID(h.Object(id).Region).FGO
-	}
+	isBGO := func(id heap.ObjectID) bool { return !h.RegionOf(id).FGO }
 
 	// Seeds: roots + dirty-card FGO, staged through the heap's reusable
 	// seed buffer so the per-cycle append allocates nothing steady-state.
-	seeds := append(h.Scratch().Seeds[:0], h.Roots()...)
+	seeds := gc.SeedBuf(h)
 	res.PauseSTW += gc.FlipPause + time.Duration(len(seeds))*gc.RootScanCPU
 	f.card.ScanDirty(true, func(start, size int64) {
 		res.GCThreadCPU += gc.CardScanCPU
@@ -381,28 +346,14 @@ func (f *Fleet) RunBGC(now time.Duration) gc.Result {
 		if r.Free() || !r.FGO {
 			return
 		}
-		for _, id := range r.Objects {
-			o := h.Object(id)
-			if !o.Live() || o.Region != r.ID {
-				continue
-			}
-			if o.Addr+int64(o.Size) <= start || o.Addr >= start+size {
-				continue
-			}
+		h.ForEachObjectOverlapping(r, start, size, func(id heap.ObjectID) {
 			seeds = append(seeds, id)
-		}
+		})
 	})
 
 	h.BeginTrace()
-	st := gc.Trace(h, seeds, gc.TraceOpts{ShouldTrace: isBGO, Now: now})
-	h.Scratch().Seeds = seeds[:0]
-	res.ObjectsTraced = st.ObjectsTraced
-	res.BytesTraced = st.BytesTraced
-	res.GCThreadCPU += st.CPU
-	res.GCFaultStall += st.FaultStall
-	if res.Err == nil {
-		res.Err = st.Err
-	}
+	res.AddTrace(gc.Trace(h, seeds, gc.TraceOpts{ShouldTrace: isBGO, Now: now}))
+	gc.SaveSeeds(h, seeds)
 
 	// Evacuate live BGO out of BGO regions; FGO regions are untouched.
 	var from []*heap.Region
@@ -411,34 +362,7 @@ func (f *Fleet) RunBGC(now time.Duration) gc.Result {
 			from = append(from, r)
 		}
 	})
-	ev := h.NewEvacuator()
-	for _, r := range from {
-		for _, id := range r.Objects {
-			o := h.Object(id)
-			if !o.Live() || o.Region != r.ID {
-				continue
-			}
-			if h.Marked(id) {
-				ev.Copy(id, heap.KindNormal)
-				res.ObjectsCopied++
-				res.BytesCopied += int64(o.Size)
-				res.GCThreadCPU += gc.CopyCPU + vmem.DRAMCost(2*int64(o.Size))
-			} else {
-				res.ObjectsFreed++
-				res.BytesFreed += int64(o.Size)
-				h.KillObject(id)
-			}
-		}
-	}
-	ev.Finish()
-	res.GCFaultStall += ev.Stall
-	if res.Err == nil {
-		res.Err = ev.Err
-	}
-	for _, r := range from {
-		h.FreeRegion(r)
-		res.RegionsFreed++
-	}
+	gc.Evacuate(h, h.NewEvacuator(), &res, from, nil)
 
 	res.PauseSTW += gc.FinalPause
 	h.NoteGCComplete()

@@ -15,6 +15,7 @@ import (
 	"fleetsim/internal/android"
 	"fleetsim/internal/metrics"
 	"fleetsim/internal/snapshot"
+	"fleetsim/internal/vmem"
 )
 
 var (
@@ -40,10 +41,14 @@ func CheckpointStore() *snapshot.Store {
 }
 
 // SweepCampaignKey canonically encodes the Params that determine every
-// figure sweep's results, for use as a checkpoint campaign key.
+// figure sweep's results, for use as a checkpoint campaign key. The swap
+// backend is keyed by its parsed kind, so "" and "flash" share a key; an
+// unknown name would key as flash, but frontends reject it before opening
+// a store.
 func SweepCampaignKey(p Params) string {
-	return fmt.Sprintf("sweep/v1|scale=%d|rounds=%d|use=%s|apps=%d|seed=%d",
-		p.Scale, p.Rounds, p.UseTime, p.PressureApps, p.Seed)
+	backend, _ := vmem.ParseBackend(p.Backend)
+	return fmt.Sprintf("sweep/v2|scale=%d|rounds=%d|use=%s|apps=%d|seed=%d|backend=%s",
+		p.Scale, p.Rounds, p.UseTime, p.PressureApps, p.Seed, backend)
 }
 
 // legSummary is the serializable outcome of one policy leg of the §7.2

@@ -156,3 +156,36 @@ func TestCheckpointedLegSkipsRerun(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckpointedLegKeyedByBackend proves a sweep leg checkpointed on one
+// swap backend is not answered for another, while "" and "flash" (the two
+// spellings of the default backend) share their checkpoints.
+func TestCheckpointedLegKeyedByBackend(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.jsonl")
+	measured := []string{Fig13Apps[0]}
+	runs := 0
+	leg := func(backend string) {
+		p := DefaultParams()
+		p.Backend = backend
+		st, err := snapshot.Open(path, SweepCampaignKey(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		SetCheckpointStore(st)
+		defer SetCheckpointStore(nil)
+		checkpointedLeg(p, android.PolicyFleet, measured, func() *hotRun {
+			runs++
+			return &hotRun{Policy: android.PolicyFleet, Sys: &android.System{M: &android.Metrics{}}}
+		})
+	}
+	leg("flash")
+	leg("")
+	if runs != 1 {
+		t.Fatalf("leg ran %d times under flash then \"\", want 1", runs)
+	}
+	leg("zram")
+	if runs != 2 {
+		t.Fatal("zram leg was answered from the flash checkpoint")
+	}
+}

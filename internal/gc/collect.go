@@ -1,12 +1,10 @@
 package gc
 
 import (
-	"sort"
 	"time"
 
 	"fleetsim/internal/cardtable"
 	"fleetsim/internal/heap"
-	"fleetsim/internal/units"
 )
 
 // Kind identifies a collector for result reporting.
@@ -71,11 +69,21 @@ func (r *Result) Add(o Result) {
 	}
 }
 
-// noteErr latches the first error of the cycle into res.
-func (r *Result) noteErr(err error) {
+// NoteErr latches the first error of the cycle into r.
+func (r *Result) NoteErr(err error) {
 	if err != nil && r.Err == nil {
 		r.Err = err
 	}
+}
+
+// AddTrace folds one tracing pass into r: its working set, GC-thread CPU
+// and fault stall, and its first error.
+func (r *Result) AddTrace(st TraceStats) {
+	r.ObjectsTraced += st.ObjectsTraced
+	r.BytesTraced += st.BytesTraced
+	r.GCThreadCPU += st.CPU
+	r.GCFaultStall += st.FaultStall
+	r.NoteErr(st.Err)
 }
 
 // RememberedSet is the always-on card-table remembered set ART keeps for
@@ -107,7 +115,7 @@ func (rs *RememberedSet) Barrier(id heap.ObjectID) {
 // appendCardSeeds scans dirty cards, touching the old objects that live on
 // them and appending their young references to seeds as extra trace
 // seeds. Costs are charged into res.
-func (rs *RememberedSet) appendCardSeeds(seeds []heap.ObjectID, res *Result, now time.Duration) []heap.ObjectID {
+func (rs *RememberedSet) appendCardSeeds(seeds []heap.ObjectID, res *Result) []heap.ObjectID {
 	h := rs.h
 	rs.table.ScanDirty(true, func(start, size int64) {
 		res.GCThreadCPU += CardScanCPU
@@ -118,47 +126,25 @@ func (rs *RememberedSet) appendCardSeeds(seeds []heap.ObjectID, res *Result, now
 		if r.Free() {
 			return
 		}
-		forObjectsOverlapping(h, r, start, size, func(id heap.ObjectID) {
+		h.ForEachObjectOverlapping(r, start, size, func(id heap.ObjectID) {
 			o := h.Object(id)
 			res.ObjectsTraced++
 			res.BytesTraced += int64(o.Size)
 			res.GCThreadCPU += visitCost(o.Size)
 			stall, terr := h.VM.TouchRange(h.AS, o.Addr, int64(o.Size), false)
 			res.GCFaultStall += stall
-			res.noteErr(terr)
+			res.NoteErr(terr)
 			for _, ref := range h.Refs(id) {
 				if ref == heap.NilObject {
 					continue
 				}
-				ro := h.Object(ref)
-				if ro.Live() && h.RegionByID(ro.Region).NewlyAllocated {
+				if h.Object(ref).Live() && h.RegionOf(ref).NewlyAllocated {
 					seeds = append(seeds, ref)
 				}
 			}
 		})
 	})
-	_ = now
 	return seeds
-}
-
-// forObjectsOverlapping visits region r's live objects overlapping
-// [start, start+size) in bump order, using the bump-order invariant of
-// r.Objects; it allocates nothing.
-func forObjectsOverlapping(h *heap.Heap, r *heap.Region, start, size int64, fn func(heap.ObjectID)) {
-	objs := r.Objects
-	lo := sort.Search(len(objs), func(i int) bool {
-		o := h.Object(objs[i])
-		return o.Addr+int64(o.Size) > start
-	})
-	for i := lo; i < len(objs); i++ {
-		o := h.Object(objs[i])
-		if o.Addr >= start+size {
-			break
-		}
-		if o.Live() && o.Region == r.ID {
-			fn(objs[i])
-		}
-	}
 }
 
 // Minor runs ART's young-generation concurrent-copying collection: the
@@ -178,27 +164,20 @@ func Minor(h *heap.Heap, rs *RememberedSet, now time.Duration) Result {
 		return res
 	}
 
-	seeds := seedBuf(h)
+	seeds := SeedBuf(h)
 	res.PauseSTW += FlipPause + time.Duration(len(seeds))*RootScanCPU
 	if rs != nil {
-		seeds = rs.appendCardSeeds(seeds, &res, now)
+		seeds = rs.appendCardSeeds(seeds, &res)
 	}
 
 	h.BeginTrace()
-	st := Trace(h, seeds, TraceOpts{
-		ShouldTrace: func(id heap.ObjectID) bool {
-			return h.RegionByID(h.Object(id).Region).NewlyAllocated
-		},
-		Now: now,
-	})
-	saveSeeds(h, seeds)
-	res.ObjectsTraced += st.ObjectsTraced
-	res.BytesTraced += st.BytesTraced
-	res.GCThreadCPU += st.CPU
-	res.GCFaultStall += st.FaultStall
-	res.noteErr(st.Err)
+	res.AddTrace(Trace(h, seeds, TraceOpts{
+		ShouldTrace: func(id heap.ObjectID) bool { return h.RegionOf(id).NewlyAllocated },
+		Now:         now,
+	}))
+	SaveSeeds(h, seeds)
 
-	evacuate(h, &res, young, func(o *heap.Object) heap.RegionKind { return heap.KindNormal })
+	Evacuate(h, h.NewEvacuator(), &res, young, nil)
 	res.PauseSTW += FinalPause
 	h.NoteGCComplete()
 	return res
@@ -221,12 +200,7 @@ func Major(h *heap.Heap, rs *RememberedSet, now time.Duration) Result {
 	res.PauseSTW += FlipPause + time.Duration(len(seeds))*RootScanCPU
 
 	h.BeginTrace()
-	st := Trace(h, seeds, TraceOpts{Now: now})
-	res.ObjectsTraced += st.ObjectsTraced
-	res.BytesTraced += st.BytesTraced
-	res.GCThreadCPU += st.CPU
-	res.GCFaultStall += st.FaultStall
-	res.noteErr(st.Err)
+	res.AddTrace(Trace(h, seeds, TraceOpts{Now: now}))
 
 	var sparse, dense []*heap.Region
 	h.Regions(func(r *heap.Region) {
@@ -247,7 +221,7 @@ func Major(h *heap.Heap, rs *RememberedSet, now time.Duration) Result {
 			dense = append(dense, r)
 		}
 	})
-	evacuate(h, &res, sparse, func(o *heap.Object) heap.RegionKind { return heap.KindNormal })
+	Evacuate(h, h.NewEvacuator(), &res, sparse, nil)
 	for _, r := range dense {
 		collectInPlace(h, &res, r)
 	}
@@ -282,34 +256,41 @@ func collectInPlace(h *heap.Heap, res *Result, r *heap.Region) {
 	r.Objects = kept
 }
 
-// evacuate copies marked objects out of the given from-regions (kind chosen
-// per object by kindOf), kills the rest, and frees the from-regions.
-func evacuate(h *heap.Heap, res *Result, from []*heap.Region, kindOf func(*heap.Object) heap.RegionKind) {
-	ev := h.NewEvacuator()
+// Evacuate is the copying collectors' shared evacuation loop: it copies the
+// marked objects of the from-regions through ev into to-regions of the kind
+// kindOf chooses (nil means KindNormal), kills the unmarked ones, applies
+// the batched destination touches, and frees the from-regions. Only the
+// stall of this call's Finish is charged to res, so a caller may keep
+// copying through ev afterwards and charge its own Finish the same way.
+func Evacuate(h *heap.Heap, ev *heap.Evacuator, res *Result, from []*heap.Region, kindOf func(heap.ObjectID) heap.RegionKind) {
 	for _, r := range from {
 		for _, id := range r.Objects {
 			o := h.Object(id)
 			if !o.Live() || o.Region != r.ID {
 				continue // stale entry (already moved this cycle)
 			}
-			if h.Marked(id) {
-				ev.Copy(id, kindOf(o))
-				res.ObjectsCopied++
-				res.BytesCopied += int64(o.Size)
-				res.GCThreadCPU += copyCost(o.Size)
-			} else {
+			if !h.Marked(id) {
 				res.ObjectsFreed++
 				res.BytesFreed += int64(o.Size)
 				h.KillObject(id)
+				continue
 			}
+			kind := heap.KindNormal
+			if kindOf != nil {
+				kind = kindOf(id)
+			}
+			ev.Copy(id, kind)
+			res.ObjectsCopied++
+			res.BytesCopied += int64(o.Size)
+			res.GCThreadCPU += CopyCost(o.Size)
 		}
 	}
+	before := ev.Stall
 	ev.Finish()
-	res.GCFaultStall += ev.Stall
-	res.noteErr(ev.Err)
+	res.GCFaultStall += ev.Stall - before
+	res.NoteErr(ev.Err)
 	for _, r := range from {
 		h.FreeRegion(r)
 		res.RegionsFreed++
 	}
-	_ = units.RegionSize
 }

@@ -59,8 +59,8 @@ func visitCost(size int32) time.Duration {
 	return VisitCPU + vmem.DRAMCost(int64(size))
 }
 
-// copyCost returns CPU time to evacuate one object of the given size
+// CopyCost returns CPU time to evacuate one object of the given size
 // (read + write).
-func copyCost(size int32) time.Duration {
+func CopyCost(size int32) time.Duration {
 	return CopyCPU + vmem.DRAMCost(2*int64(size))
 }

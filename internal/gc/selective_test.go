@@ -98,24 +98,6 @@ func TestMajorEventuallyCompactsDecayedRegions(t *testing.T) {
 	}
 }
 
-// TestEvacuatorPageAlign gives each copied object private pages.
-func TestEvacuatorPageAlign(t *testing.T) {
-	h := newTestHeap()
-	a, _, _ := h.Alloc(100, heap.EpochForeground, 0)
-	b, _, _ := h.Alloc(100, heap.EpochForeground, 0)
-	ev := h.NewEvacuator()
-	ev.PageAlign = true
-	ev.Copy(a, heap.KindCold)
-	ev.Copy(b, heap.KindCold)
-	oa, ob := h.Object(a), h.Object(b)
-	if oa.Addr%units.PageSize != 0 || ob.Addr%units.PageSize != 0 {
-		t.Errorf("objects not page aligned: %d %d", oa.Addr, ob.Addr)
-	}
-	if units.PageIndex(oa.Addr) == units.PageIndex(ob.Addr) {
-		t.Error("objects share a page despite PageAlign")
-	}
-}
-
 // TestEvacuatorPinDest pins destination pages as they are written.
 func TestEvacuatorPinDest(t *testing.T) {
 	h := newTestHeap()

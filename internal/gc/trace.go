@@ -268,15 +268,15 @@ func traceFast(h *heap.Heap, v heap.View, seeds []heap.ObjectID, bfs bool) Trace
 	return st
 }
 
-// seedBuf stages the heap's roots into the reusable seed buffer so a
+// SeedBuf stages the heap's roots into the reusable seed buffer so a
 // collector can append extra seeds (card-derived, stub-derived) without
 // copying the root set through a fresh allocation each cycle.
-func seedBuf(h *heap.Heap) []heap.ObjectID {
+func SeedBuf(h *heap.Heap) []heap.ObjectID {
 	return append(h.Scratch().Seeds[:0], h.Roots()...)
 }
 
-// saveSeeds returns the (possibly grown) seed buffer to the scratch.
-func saveSeeds(h *heap.Heap, seeds []heap.ObjectID) {
+// SaveSeeds returns the (possibly grown) seed buffer to the scratch.
+func SaveSeeds(h *heap.Heap, seeds []heap.ObjectID) {
 	h.Scratch().Seeds = seeds[:0]
 }
 
@@ -294,17 +294,6 @@ func (d DepthTable) Of(id heap.ObjectID) (int, bool) {
 		return 0, false
 	}
 	return int(d[id]), true
-}
-
-// Reachable returns the number of reachable objects in the table.
-func (d DepthTable) Reachable() int {
-	n := 0
-	for _, v := range d {
-		if v != Unreachable {
-			n++
-		}
-	}
-	return n
 }
 
 // Depths computes the BFS shortest-path depth from the root set for every

@@ -13,6 +13,7 @@ package heap
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"fleetsim/internal/mem"
@@ -82,12 +83,10 @@ func (k RegionKind) String() string {
 	}
 }
 
-// Object is one Java object. The struct is the compatibility view over the
-// heap's struct-of-arrays tables (see soa.go): the hot per-object state —
-// size, liveness, mark generation, region index, edge span — also lives in
-// dense ObjectID-indexed slices that collectors walk without loading these
-// 40-byte records. The duplicated fields here are kept in sync by the
-// heap-internal mutators (Alloc, KillObject, Evacuator.Copy).
+// Object is one Java object. The record is the home of every object field;
+// only Size and liveness are mirrored, in the heap's dense mark/size table
+// (see soa.go) that the trace hot path reads instead of these records.
+// Alloc and KillObject keep the two in step.
 //
 // The record holds no pointer (references live in the heap's edge arena,
 // read through Heap.Refs), so the Go collector never scans an object table;
@@ -162,18 +161,12 @@ type Heap struct {
 	objects  []Object
 	freeObjs []ObjectID
 
-	// Struct-of-arrays mirrors of the hot object state, indexed by
-	// ObjectID and grown in lockstep with objects. Trace/mark loops read
-	// these dense tables (1–4 bytes per object) instead of the Object
-	// records; marks is the only home of the mark generation, the others
-	// duplicate Object fields and are written by the same heap-internal
-	// mutators. msize packs each object's byte size (high 32 bits) with
-	// its mark generation (low 32): the trace loop's mark check and size
-	// read become one load, and the size travels to the visit through the
-	// mark queue.
-	msize     []uint64
-	liveb     []uint8
-	regionIdx []int32
+	// msize is the dense mark/size table, indexed by ObjectID and grown in
+	// lockstep with objects. It is the only home of the mark generation
+	// (low 32 bits) and packs it with the object's byte size (high 32):
+	// the trace loop's mark check and size read become one load, and the
+	// size travels to the visit through the mark queue.
+	msize []uint64
 
 	// CSR edge arena: every object's outgoing references live in one
 	// shared backing array; object id owns the span
@@ -238,9 +231,8 @@ type Heap struct {
 // New creates an empty heap for the given address space.
 func New(as *mem.AddressSpace, vm *vmem.Manager) *Heap {
 	h := &Heap{AS: as, VM: vm}
-	// Reserve slot 0 as NilObject (never live, so liveb[NilObject] == 0
-	// doubles as the nil-reference check in trace loops, and its deadMark
-	// entry makes the single-compare mark test skip nil references too).
+	// Reserve slot 0 as NilObject (never live; its deadMark entry makes the
+	// trace loops' single-compare mark test skip nil references).
 	h.objects = append(h.objects, Object{})
 	h.rootPos = append(h.rootPos, 0)
 	h.growSoA()
@@ -315,7 +307,7 @@ func (h *Heap) LiveObjects() int64 { return h.stats.LiveObjects }
 // sequence.
 func (h *Heap) ForEachLiveObject(fn func(ObjectID, *Object)) {
 	for i := 1; i < len(h.objects); i++ {
-		if h.liveb[i] != 0 {
+		if h.objects[i].live {
 			fn(ObjectID(i), &h.objects[i])
 		}
 	}
@@ -369,10 +361,32 @@ func (h *Heap) RegionAt(addr int64) *Region {
 	return h.regions[addr/units.RegionSize]
 }
 
-// RegionOf returns the region currently holding object id. It reads the
-// dense region-index table, not the Object record.
+// RegionOf returns the region currently holding object id.
 func (h *Heap) RegionOf(id ObjectID) *Region {
-	return h.regions[h.regionIdx[id]]
+	return h.regions[h.objects[id].Region]
+}
+
+// ForEachObjectOverlapping visits region r's live objects overlapping
+// [start, start+size) in bump order, without allocating. It binary-searches
+// r.Objects by address, so it relies on the list being in bump order with
+// no stale entries, which Alloc, Evacuator.Copy and in-place collection
+// preserve. Marvin's swap regions keep stale entries between collections,
+// but no card scan visits them.
+func (h *Heap) ForEachObjectOverlapping(r *Region, start, size int64, fn func(ObjectID)) {
+	objs := r.Objects
+	lo := sort.Search(len(objs), func(i int) bool {
+		o := &h.objects[objs[i]]
+		return o.Addr+int64(o.Size) > start
+	})
+	for _, id := range objs[lo:] {
+		o := &h.objects[id]
+		if o.Addr >= start+size {
+			break
+		}
+		if o.live && o.Region == r.ID {
+			fn(id)
+		}
+	}
 }
 
 // RegionCount returns the number of in-use regions.
@@ -441,8 +455,6 @@ func (h *Heap) Alloc(size int32, epoch Epoch, now time.Duration) (ObjectID, time
 		live:       true,
 	}
 	h.msize[id] = uint64(uint32(size)) << 32 // mark cleared
-	h.liveb[id] = 1
-	h.regionIdx[id] = r.ID
 	r.Objects = append(r.Objects, id)
 
 	h.stats.Allocated++
@@ -587,7 +599,6 @@ func (h *Heap) KillObject(id ObjectID) {
 		return
 	}
 	o.live = false
-	h.liveb[id] = 0
 	h.msize[id] = h.msize[id]&spanOffMask | uint64(deadMark)
 	h.stats.LiveObjects--
 	h.stats.LiveBytes -= int64(o.Size)
@@ -628,19 +639,11 @@ type Evacuator struct {
 	new   []*Region               // all to-regions opened this cycle
 	batch *vmem.Batch             // heap-owned, reused across cycles
 
-	// PageAlign places every copied object on its own page boundary
-	// (padding the bump pointer), so each object's pages are private.
-	// Object-granularity swap baselines (Marvin) use this: the padding is
-	// their swap amplification made physical.
-	PageAlign bool
-
 	// PinDest pins destination pages as they are written, so a reclaim
 	// running concurrently with the evacuation cannot steal them before
 	// the collector finishes (Marvin's resident heap is unevictable).
 	PinDest bool
 
-	// CopiedBytes accumulates the volume moved (drives GC CPU cost).
-	CopiedBytes int64
 	// Stall accumulates page-fault time the GC thread paid writing into
 	// to-regions (destination pages are fresh, so normally minor faults).
 	// Populated by Finish.
@@ -670,9 +673,6 @@ func (ev *Evacuator) Copy(id ObjectID, kind RegionKind) {
 		return
 	}
 	need := int64(o.Size)
-	if ev.PageAlign {
-		need = units.PagesFor(int64(o.Size)) * units.PageSize
-	}
 	r := ev.to[kind]
 	if r == nil || r.BytesFree() < need {
 		r = h.newRegion(kind)
@@ -686,9 +686,7 @@ func (ev *Evacuator) Copy(id ObjectID, kind RegionKind) {
 	r.Used += need
 	o.Addr = addr
 	o.Region = r.ID
-	h.regionIdx[id] = r.ID
 	r.Objects = append(r.Objects, id)
-	ev.CopiedBytes += int64(o.Size)
 	if ev.PinDest {
 		ev.batch.TouchPin(h.AS, addr, int64(o.Size), true)
 	} else {

@@ -342,9 +342,6 @@ func TestEvacuatorCopies(t *testing.T) {
 	if newR.NewlyAllocated {
 		t.Error("to-region must not count as newly allocated")
 	}
-	if ev.CopiedBytes != 300 {
-		t.Errorf("copied bytes = %d", ev.CopiedBytes)
-	}
 	if len(ev.ToRegions()) != 1 {
 		t.Errorf("to-regions = %d", len(ev.ToRegions()))
 	}

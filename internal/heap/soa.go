@@ -1,13 +1,12 @@
 package heap
 
 // This file holds the struct-of-arrays side of the heap: the dense
-// per-object tables (sizes, liveness, marks, region indexes) and the CSR
-// edge arena that holds every object's outgoing references. The layout
-// exists for the GC trace hot path: a mark pass over the SoA view reads a
-// few bytes per object from contiguous tables instead of loading scattered
-// 40-byte Object records. Keeping references out of the records also
-// keeps every object table pointer-free, so the Go collector never scans
-// one.
+// per-object mark/size table and the CSR edge arena that holds every
+// object's outgoing references. The layout exists for the GC trace hot
+// path: a mark pass over the SoA view reads a few bytes per object from
+// contiguous tables instead of loading scattered 40-byte Object records.
+// Keeping references out of the records also keeps every object table
+// pointer-free, so the Go collector never scans one.
 //
 // Edge-arena invariants:
 //
@@ -73,18 +72,13 @@ const compactMinArena = 4096
 // so extending the length exposes a zero entry without any stores.
 func (h *Heap) growSoA() {
 	n := len(h.objects)
-	if n <= cap(h.msize) && n <= cap(h.liveb) && n <= cap(h.regionIdx) &&
-		n <= cap(h.espan) && n <= cap(h.ecap) {
+	if n <= cap(h.msize) && n <= cap(h.espan) && n <= cap(h.ecap) {
 		h.msize = h.msize[:n]
-		h.liveb = h.liveb[:n]
-		h.regionIdx = h.regionIdx[:n]
 		h.espan = h.espan[:n]
 		h.ecap = h.ecap[:n]
 		return
 	}
 	h.msize = append(h.msize, 0)
-	h.liveb = append(h.liveb, 0)
-	h.regionIdx = append(h.regionIdx, 0)
 	h.espan = append(h.espan, 0)
 	h.ecap = append(h.ecap, 0)
 }
@@ -204,9 +198,6 @@ type View struct {
 	// (dead, nil or already marked) in a single compare — and the same
 	// load yields the size.
 	MarkSize []uint64
-	// Live is 1 for live slots; Live[NilObject] is always 0, so the live
-	// check subsumes the nil-reference check.
-	Live []uint8
 	// Gen is the current mark generation (set by BeginTrace).
 	Gen uint32
 	// EdgeSpans and Edges are the CSR edge arena: object id's span word is
@@ -219,7 +210,6 @@ type View struct {
 func (h *Heap) SoAView() View {
 	return View{
 		MarkSize:  h.msize,
-		Live:      h.liveb,
 		Gen:       h.markGen,
 		EdgeSpans: h.espan,
 		Edges:     h.edges,

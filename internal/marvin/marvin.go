@@ -20,10 +20,8 @@
 //
 //   - Swap amplification: analysis is per object but IO is per page, so a
 //     faulted object pays at least one full page of flash IO even when it
-//     is smaller than a page. (With StrictObjectSlots, every swapped
-//     object additionally occupies private page-aligned storage; by
-//     default Marvin batches evicted objects compactly, as the real
-//     system writes them in bulk.)
+//     is smaller than a page. Evicted objects are batched compactly, as
+//     the real system writes them in bulk.
 //
 //   - Consistency stop-the-world: keeping stubs and objects coherent
 //     costs a pause proportional to the bookmarked population on every
@@ -70,11 +68,6 @@ type Marvin struct {
 	// ColdWindow is how long an eligible object must go untouched before
 	// the object LRU may evict it.
 	ColdWindow time.Duration
-
-	// StrictObjectSlots gives every swapped object private page-aligned
-	// storage (maximum swap amplification). Off by default: eviction
-	// batches objects compactly.
-	StrictObjectSlots bool
 
 	// bookmarked tracks objects whose data lives in (object) swap and
 	// whose stub is resident. Keyed by ObjectID; entries are dropped when
@@ -174,7 +167,6 @@ func (m *Marvin) SwapOutCold(now time.Duration, budgetBytes int64) (objects int,
 	})
 
 	ev := h.NewEvacuator()
-	ev.PageAlign = m.StrictObjectSlots
 	var moved []*heap.Region
 	for _, c := range cands {
 		if bytes >= budgetBytes {
@@ -223,20 +215,16 @@ func (m *Marvin) RunGC(now time.Duration) gc.Result {
 	res.PauseSTW += time.Duration(len(m.bookmarked)) * StubSTWPerObject
 
 	h.BeginTrace()
-	st := gc.Trace(h, seeds, gc.TraceOpts{
+	res.AddTrace(gc.Trace(h, seeds, gc.TraceOpts{
 		Now: now,
 		ShouldTouch: func(id heap.ObjectID) bool {
 			_, swapped := m.bookmarked[id]
 			return !swapped
 		},
-	})
-	res.ObjectsTraced = st.ObjectsTraced
-	res.BytesTraced = st.BytesTraced
-	res.GCThreadCPU += st.CPU
-	res.GCFaultStall += st.FaultStall
+	}))
 
 	// Partition regions: ordinary regions are evacuated and freed; swap
-	// regions (KindCold, page-aligned objects) are collected in place.
+	// regions (KindCold) are collected in place.
 	var ordinary, swapRegions []*heap.Region
 	h.Regions(func(r *heap.Region) {
 		if r.Kind == heap.KindCold {
@@ -249,40 +237,15 @@ func (m *Marvin) RunGC(now time.Duration) gc.Result {
 	ev := h.NewEvacuator()
 	// The compacted resident heap is unevictable: pin destination pages as
 	// they are written so concurrent reclaim cannot steal them before the
-	// cycle ends.
+	// cycle ends. The copies fault in before the from-regions release
+	// their frames.
 	ev.PinDest = true
-	for _, r := range ordinary {
-		for _, id := range r.Objects {
-			o := h.Object(id)
-			if !o.Live() || o.Region != r.ID {
-				continue
-			}
-			if h.Marked(id) {
-				ev.Copy(id, heap.KindNormal)
-				res.ObjectsCopied++
-				res.BytesCopied += int64(o.Size)
-				res.GCThreadCPU += gc.CopyCPU + vmem.DRAMCost(2*int64(o.Size))
-			} else {
-				res.ObjectsFreed++
-				res.BytesFreed += int64(o.Size)
-				h.KillObject(id)
-			}
-		}
-	}
-	// Fault the compacted copies in (pinned as written) before the
-	// from-regions release their frames.
-	ev.Finish()
-	for _, r := range ordinary {
-		h.FreeRegion(r)
-		res.RegionsFreed++
-	}
+	gc.Evacuate(h, ev, &res, ordinary, nil)
 
 	// Collect swap regions in place: dead bookmarked objects are killed
 	// (their pages free when the whole region empties — swap-space
 	// fragmentation, as in the real system); objects that faulted back
-	// since the last GC are compacted into the resident heap. Under
-	// StrictObjectSlots each object's private pages are released
-	// individually.
+	// since the last GC are compacted into the resident heap.
 	for _, r := range swapRegions {
 		liveLeft := 0
 		for _, id := range r.Objects {
@@ -290,16 +253,11 @@ func (m *Marvin) RunGC(now time.Duration) gc.Result {
 			if !o.Live() || o.Region != r.ID {
 				continue
 			}
-			slot := units.PagesFor(int64(o.Size)) * units.PageSize
-			slotBase := o.Addr
 			if !h.Marked(id) {
 				// Dead: drop stub (if still bookmarked).
 				if _, ok := m.bookmarked[id]; ok {
 					delete(m.bookmarked, id)
 					m.stubBytes -= m.stubSize(id)
-				}
-				if m.StrictObjectSlots {
-					m.vm.ReleaseRange(h.AS, slotBase, slot)
 				}
 				res.ObjectsFreed++
 				res.BytesFreed += int64(o.Size)
@@ -314,11 +272,7 @@ func (m *Marvin) RunGC(now time.Duration) gc.Result {
 			ev.Copy(id, heap.KindNormal)
 			res.ObjectsCopied++
 			res.BytesCopied += int64(o.Size)
-			res.GCThreadCPU += gc.CopyCPU + vmem.DRAMCost(2*int64(o.Size))
-			if m.StrictObjectSlots {
-				m.vm.Unpin(h.AS, slotBase, slot)
-				m.vm.ReleaseRange(h.AS, slotBase, slot)
-			}
+			res.GCThreadCPU += gc.CopyCost(o.Size)
 		}
 		if liveLeft == 0 {
 			h.FreeRegion(r)
@@ -326,8 +280,10 @@ func (m *Marvin) RunGC(now time.Duration) gc.Result {
 		}
 	}
 
+	before := ev.Stall
 	ev.Finish()
-	res.GCFaultStall += ev.Stall
+	res.GCFaultStall += ev.Stall - before
+	res.NoteErr(ev.Err)
 	// The newly compacted resident heap is pinned again (Marvin owns its
 	// residency).
 	for _, r := range ev.ToRegions() {

@@ -1,6 +1,7 @@
 package marvin
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -88,32 +89,6 @@ func TestObjectLRUOrder(t *testing.T) {
 	}
 	if !m.IsBookmarked(a) || m.IsBookmarked(b) {
 		t.Error("object LRU picked the wrong victim")
-	}
-}
-
-func TestSwapAmplificationStrictSlots(t *testing.T) {
-	h, vm, m := newRig()
-	m.StrictObjectSlots = true
-	root := alloc(h, m, 64, 0)
-	h.AddRoot(root)
-	var ids []heap.ObjectID
-	for i := 0; i < 8; i++ {
-		id := alloc(h, m, 2048, 0)
-		h.AddRef(root, id, 0)
-		ids = append(ids, id)
-	}
-	before := vm.Stats().SwapOuts
-	m.SwapOutCold(100*time.Second, units.GiB)
-	writes := vm.Stats().SwapOuts - before
-	// 8 × 2048 B = 4 pages of data, but strict object-granularity swap
-	// writes one page per object: amplification.
-	if writes != 8 {
-		t.Errorf("swap wrote %d pages for 8 sub-page objects, want 8 (amplified)", writes)
-	}
-	for _, id := range ids {
-		if vm.Resident(h.AS, h.Object(id).Addr) {
-			t.Error("evicted object still resident")
-		}
 	}
 }
 
@@ -251,6 +226,29 @@ func TestFaultBackRevivesObject(t *testing.T) {
 	}
 	if h.RegionOf(id).Kind == heap.KindCold {
 		t.Error("revived object still in a swap region after GC")
+	}
+}
+
+// TestRunGCSurfacesVMemErrors checks that a fault the trace cannot satisfy
+// reaches the GC result, as it does for every other collector. The object
+// is neither bookmarked nor pinned, so the trace touches its swapped-out
+// page while the swap device is offline for longer than a fault may wait.
+func TestRunGCSurfacesVMemErrors(t *testing.T) {
+	h, vm, m := newRig()
+	root := alloc(h, m, 64, 0)
+	h.AddRoot(root)
+	alloc(h, m, int32(units.PageSize)-64, 0) // fills the root's page
+	id, _, _ := h.Alloc(int32(units.PageSize), heap.EpochForeground, 0)
+	h.AddRef(root, id, 0)
+	addr := h.Object(id).Addr
+	vm.AdviseCold(h.AS, addr, units.PageSize)
+	if vm.Resident(h.AS, addr) {
+		t.Fatal("setup: object page still resident")
+	}
+	vm.Swap.SetFaults(func() vmem.FaultState { return vmem.FaultState{OfflineFor: time.Hour} })
+	vm.MaxOfflineWait = time.Millisecond
+	if res := m.RunGC(time.Second); !errors.Is(res.Err, vmem.ErrSwapOffline) {
+		t.Errorf("RunGC error = %v, want %v", res.Err, vmem.ErrSwapOffline)
 	}
 }
 

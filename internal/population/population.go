@@ -425,29 +425,6 @@ func TierDevice(t Tier, scale int64) android.DeviceConfig {
 	}
 }
 
-// TierShares returns the expected fleet fraction per tier name (for the
-// report footer).
-func TierShares(tiers []Tier) map[string]float64 {
-	total := 0
-	for _, t := range tiers {
-		total += t.Weight
-	}
-	out := make(map[string]float64, len(tiers))
-	for _, t := range tiers {
-		out[t.Name] = float64(t.Weight) / float64(total)
-	}
-	return out
-}
-
-// TierNames returns the tier names in spec order.
-func TierNames(tiers []Tier) []string {
-	out := make([]string, len(tiers))
-	for i, t := range tiers {
-		out[i] = t.Name
-	}
-	return out
-}
-
 // sortedKeys returns a map's keys in ascending order (deterministic
 // iteration for reports and digests).
 func sortedKeys[V any](m map[string]V) []string {

@@ -58,9 +58,6 @@ func (s *Hasher) U64(v uint64) {
 // I64 folds a signed 64-bit value.
 func (s *Hasher) I64(v int64) { s.U64(uint64(v)) }
 
-// U32 folds a 32-bit value.
-func (s *Hasher) U32(v uint32) { s.U64(uint64(v)) }
-
 // I32 folds a signed 32-bit value.
 func (s *Hasher) I32(v int32) { s.U64(uint64(uint32(v))) }
 

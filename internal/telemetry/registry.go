@@ -134,9 +134,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Bounds returns the bucket upper bounds (shared; do not modify).
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
 // BucketCounts returns a snapshot of per-bucket counts (the last entry is
 // the +Inf bucket).
 func (h *Histogram) BucketCounts() []int64 {

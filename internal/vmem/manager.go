@@ -112,10 +112,6 @@ func NewManager(phys *mem.Physical, swap SwapBackend) *Manager {
 // Stats returns a copy of the lifetime counters.
 func (m *Manager) Stats() Stats { return m.stats }
 
-// ResetIOStats zeroes the stall/IO counters (used between experiment
-// phases); residency state is untouched.
-func (m *Manager) ResetIOStats() { m.stats = Stats{} }
-
 // Corrupt returns the first internal accounting corruption observed (nil
 // when healthy). The invariant checker treats a non-nil value as a
 // violation; degraded-but-consistent operation keeps it nil.

@@ -92,13 +92,3 @@ func (pr DeviceProfile) SeqReadTime(n int64) time.Duration {
 	}
 	return pr.OpLatency/4 + units.TransferTime(n, pr.ReadBandwidth*seq)
 }
-
-// DRAMTime is the CPU-side cost of streaming n bytes from this device's
-// DRAM.
-func (pr DeviceProfile) DRAMTime(n int64) time.Duration {
-	bw := pr.DRAMBandwidth
-	if bw <= 0 {
-		bw = DefaultDRAMBandwidth
-	}
-	return units.TransferTime(n, bw)
-}
