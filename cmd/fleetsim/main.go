@@ -236,6 +236,7 @@ func main() {
 		os.Exit(130)
 	}()
 
+	var sweepStore *fleet.CheckpointStore
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "fleetsim: %v\n", err)
@@ -258,6 +259,7 @@ func main() {
 		}
 		defer st.Close()
 		fleet.SetSweepCheckpointStore(st)
+		sweepStore = st
 	}
 	// Reject unknown names up front, listing the registry instead of a
 	// hand-maintained usage string.
@@ -363,6 +365,14 @@ func main() {
 		fleet.SetSweepCheckpointStore(nil) // flushed by the deferred Close
 		fmt.Fprintln(os.Stderr, "fleetsim: interrupted; partial results above — rerun with -resume to complete")
 		exitAfterDefers(130)
+	}
+	// Sweep legs run on workers that cannot fail a leg, so a refused
+	// checkpoint append surfaces here, once the output is complete.
+	if sweepStore != nil {
+		if err := sweepStore.Failed(); err != nil {
+			fmt.Fprintf(os.Stderr, "fleetsim: sweep checkpoint: %v\n", err)
+			exitAfterDefers(1)
+		}
 	}
 	if chaosFailed.Load() {
 		fmt.Fprintln(os.Stderr, "fleetsim: chaos harness detected invariant violations, nondeterminism or failed cells")

@@ -1,6 +1,7 @@
 package fleet_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -44,9 +45,15 @@ func TestPolicyConstants(t *testing.T) {
 }
 
 func TestDefaultFleetConfigIsTable2(t *testing.T) {
-	cfg := fleet.DefaultFleetConfig()
-	if cfg.NRODepth != 2 || cfg.BackgroundWait != 10*time.Second || cfg.ForegroundWait != 3*time.Second {
+	if cfg := fleet.DefaultFleetConfig(); cfg != (fleet.FleetConfig{NRODepth: 2}) {
 		t.Errorf("Table 2 defaults wrong: %+v", cfg)
+	}
+	// Ts, Tf and CARD_SHIFT are constants; tab2 prints them.
+	tab2 := fleet.ExperimentByName("tab2").Run(fleet.DefaultParams())
+	for _, want := range []string{"Background wait Ts:   10s", "Foreground wait Tf:   3s", "CARD_SHIFT:           10"} {
+		if !strings.Contains(tab2, want) {
+			t.Errorf("tab2 lacks %q:\n%s", want, tab2)
+		}
 	}
 }
 

@@ -35,12 +35,14 @@ const (
 // unknown names.
 func ParsePolicy(name string) (Policy, bool) { return android.ParsePolicy(name) }
 
-// FleetConfig carries Fleet's own tunables (Table 2): NRO depth D, the
-// background wait Ts, the foreground wait Tf and the card-table shift.
+// FleetConfig carries Fleet's own tunables: the NRO depth D (Table 2;
+// Fig. 6b sweeps it) and the two RGS advice ablation switches. Table 2's
+// other parameters (Ts=10 s, Tf=3 s, CARD_SHIFT=10) are fixed; the tab2
+// experiment prints them.
 type FleetConfig = core.Config
 
-// DefaultFleetConfig returns Table 2's defaults (D=2, Ts=10 s, Tf=3 s,
-// CARD_SHIFT=10).
+// DefaultFleetConfig returns Table 2's default, D=2, with both advice
+// halves on.
 func DefaultFleetConfig() FleetConfig { return core.DefaultConfig() }
 
 // DeviceConfig sizes the simulated device (DRAM, system reservation, swap
@@ -81,8 +83,9 @@ func ParseBackend(name string) (Backend, bool) { return vmem.ParseBackend(name) 
 // BackendNames lists the valid swap-backend names for CLI/API errors.
 func BackendNames() []string { return vmem.BackendNames() }
 
-// SystemConfig configures a simulated system: device, policy, GC
-// parameters, lmkd thresholds.
+// SystemConfig configures a simulated system: device, policy, Fleet's
+// settings, the background heap-growth factor and GC period, ablation
+// switches, seed and fault injection.
 type SystemConfig = android.SystemConfig
 
 // DefaultSystemConfig returns the calibrated evaluation configuration for

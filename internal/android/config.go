@@ -95,14 +95,13 @@ func Pixel3Zram(scale int64) DeviceConfig {
 	}
 }
 
-// SystemConfig carries the tunables of the runtime layer.
+// SystemConfig carries the tunables of the runtime layer that experiments
+// vary. Everything the evaluation holds fixed (tick sizes, the foreground
+// heap-growth factor, the lmkd monitors' windows and thresholds, the
+// kswapd watermarks) is a named constant beside the code that reads it.
 type SystemConfig struct {
 	Device DeviceConfig
 	Policy PolicyKind
-
-	// Scale is the device scale divisor (kept so heap-controller
-	// headrooms shrink with the device).
-	Scale int64
 
 	// Fleet holds Fleet's Table 2 parameters (used when Policy ==
 	// PolicyFleet).
@@ -111,30 +110,10 @@ type SystemConfig struct {
 	// BgHeapGrowth is the background heap-growth factor (§7.4 studies 1.1
 	// vs 2.0; Android's background default is tight).
 	BgHeapGrowth float64
-	// FgHeapGrowth is the foreground factor.
-	FgHeapGrowth float64
 
 	// BgGCPeriod is how often a cached app runs its full background
 	// collection.
 	BgGCPeriod time.Duration
-	// FgTick / BgTick are the workload step sizes.
-	FgTick time.Duration
-	BgTick time.Duration
-
-	// PSIWindow, PSIKillThreshold and PSICooldown configure the
-	// pressure-stall lmkd: when the fraction of wall time spent waiting
-	// on *refault* IO (swap-ins of recently evicted pages — thrashing)
-	// over the window exceeds the threshold, and the swap device is
-	// mostly full, the least-recently-used cached app is killed. This is
-	// how sustained GC↔swap thrashing — Android's failure mode in
-	// Fig. 11 — converts into reduced caching capacity.
-	PSIWindow        time.Duration
-	PSIKillThreshold float64
-	PSICooldown      time.Duration
-
-	// Swam configures the responsiveness-driven reclaim/lmkd co-design
-	// (used when Policy == PolicySwam, replacing the PSI monitor).
-	Swam SwamConfig
 
 	// FleetNoBGC is the Fig. 12a ablation: Fleet still groups and advises
 	// the swap, but background collections fall back to full-heap major
@@ -149,21 +128,6 @@ type SystemConfig struct {
 	// nothing about the GC-swap conflict.
 	LaunchPrefetch bool
 
-	// KswapdLowFrac / KswapdHighFrac set the reclaim watermarks as
-	// fractions of app DRAM. Android keeps a large free-memory headroom
-	// (extra_free_kbytes) so launches and camera bursts never wait on
-	// reclaim; that headroom is what keeps cached apps' cold pages
-	// flowing to swap.
-	KswapdLowFrac  float64
-	KswapdHighFrac float64
-
-	// MaxOfflineWait bounds how long a faulting thread retries against an
-	// offline swap device before the access aborts with ErrSwapOffline
-	// (the process is then killed like any other unrecoverable fault). 0
-	// means wait out the whole window. The default cap keeps one injected
-	// outage from stalling an experiment leg unboundedly.
-	MaxOfflineWait time.Duration
-
 	// Seed feeds every per-app RNG.
 	Seed uint64
 
@@ -173,12 +137,9 @@ type SystemConfig struct {
 	Faults *faults.Profile
 
 	// CheckInvariants runs the cross-layer consistency checker
-	// (internal/faults.Check) after every GC and every InvariantEvery-th
-	// reclaim pass, recording violations in Metrics.
+	// (internal/faults.Check) after every GC and every
+	// invariantEvery-th reclaim pass, recording violations in Metrics.
 	CheckInvariants bool
-	// InvariantEvery samples reclaim-time checks (default 64; reclaim is
-	// hot and the sweep is O(pages+objects)).
-	InvariantEvery int
 }
 
 // DefaultSystemConfig returns the evaluation defaults at the given scale.
@@ -186,36 +147,11 @@ func DefaultSystemConfig(policy PolicyKind, scale int64) SystemConfig {
 	return SystemConfig{
 		Device:       Pixel3(scale),
 		Policy:       policy,
-		Scale:        scale,
 		Fleet:        core.DefaultConfig(),
 		BgHeapGrowth: 1.1,
-		FgHeapGrowth: 2.0,
 		BgGCPeriod:   60 * time.Second,
-		FgTick:       100 * time.Millisecond,
-		BgTick:       time.Second,
-
-		PSIWindow:        30 * time.Second,
-		PSIKillThreshold: 0.15,
-		PSICooldown:      10 * time.Second,
-
-		Swam: DefaultSwamConfig(),
-
-		KswapdLowFrac:  0.08,
-		KswapdHighFrac: 0.14,
-
-		MaxOfflineWait: 1500 * time.Millisecond,
-
-		Seed: 1,
+		Seed:         1,
 	}
-}
-
-// MinHeadroomBytes returns the heap controller's minimum allocation
-// budget. It deliberately does NOT scale with the device: the background
-// GC cadence it induces (roughly one threshold collection per minute of
-// cached trickle allocation) is part of the calibrated Android behaviour;
-// see DESIGN.md §4.
-func (c SystemConfig) MinHeadroomBytes() int64 {
-	return 2 * units.MiB
 }
 
 // FrameBudget is the 60 fps deadline the jank metric uses (§7.3: 16.7 ms).

@@ -72,7 +72,7 @@ func (p *Proc) LastForeground() time.Duration { return p.lastFg }
 // wirePolicy installs the policy's hooks into the heap, resolved through
 // the policy registry.
 func (p *Proc) wirePolicy() {
-	p.RS = gc.NewRememberedSet(p.App.H, 10)
+	p.RS = gc.NewRememberedSet(p.App.H)
 	p.sys.Cfg.Policy.Info().Wire(p)
 }
 

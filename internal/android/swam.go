@@ -6,42 +6,33 @@ import (
 	"fleetsim/internal/simclock"
 )
 
-// SwamConfig tunes the SWAM-style responsiveness monitor (arXiv
-// 2306.08345): instead of watermarks on free pages, reclaim and lmkd
-// escalate off how unresponsive apps are *observed* to be — the fraction
-// of wall time lost to refault stall (pages faulting back right after
-// eviction) plus decompression stall (the CPU tax a compressed backend
-// charges every swap-in).
-type SwamConfig struct {
-	// Window is the sliding responsiveness-sampling window.
-	Window time.Duration
-	// ReclaimThreshold: stall fraction above which the monitor runs
+// The SWAM-style responsiveness monitor (arXiv 2306.08345): instead of
+// watermarks on free pages, reclaim and lmkd escalate off how unresponsive
+// apps are *observed* to be — the fraction of wall time lost to refault
+// stall (pages faulting back right after eviction) plus decompression stall
+// (the CPU tax a compressed backend charges every swap-in).
+//
+// The kill threshold sits well above the reclaim threshold on purpose:
+// every hot launch of a big app produces a legitimate refault burst, and a
+// monitor that kills on those spirals (kill → cold relaunch → more
+// refaults). Calibrated so the monitor reclaims early and often but kills
+// only in sustained thrash.
+const (
+	// swamWindow is the sliding responsiveness-sampling window.
+	swamWindow = 10 * time.Second
+	// swamReclaimThreshold: stall fraction above which the monitor runs
 	// proactive reclaim, converting future synchronous faults into
 	// asynchronous background write-out while there is still headroom.
-	ReclaimThreshold float64
-	// ReclaimFrac sizes one proactive pass as a fraction of app DRAM.
-	ReclaimFrac float64
-	// KillThreshold: stall fraction above which responsiveness is deemed
-	// unrecoverable by reclaim alone and the LRU cached app is killed.
-	KillThreshold float64
-	// Cooldown spaces kills so one bad window doesn't empty the cache.
-	Cooldown time.Duration
-}
-
-// DefaultSwamConfig returns the evaluation defaults. The kill threshold
-// sits well above the reclaim threshold on purpose: every hot launch of a
-// big app produces a legitimate refault burst, and a monitor that kills on
-// those spirals (kill → cold relaunch → more refaults). Calibrated so the
-// monitor reclaims early and often but kills only in sustained thrash.
-func DefaultSwamConfig() SwamConfig {
-	return SwamConfig{
-		Window:           10 * time.Second,
-		ReclaimThreshold: 0.05,
-		ReclaimFrac:      0.02,
-		KillThreshold:    0.35,
-		Cooldown:         10 * time.Second,
-	}
-}
+	swamReclaimThreshold = 0.05
+	// swamReclaimFrac sizes one proactive pass as a fraction of app DRAM.
+	swamReclaimFrac = 0.02
+	// swamKillThreshold: stall fraction above which responsiveness is
+	// deemed unrecoverable by reclaim alone and the LRU cached app is
+	// killed.
+	swamKillThreshold = 0.35
+	// swamCooldown spaces kills so one bad window doesn't empty the cache.
+	swamCooldown = 10 * time.Second
+)
 
 // swamStallCum is the monitor's input signal: total time apps have lost to
 // refault IO plus decompression CPU. Both terms are deterministic lifetime
@@ -59,13 +50,13 @@ func (s *System) swamTick(c *simclock.Clock) {
 	now := c.Now()
 	if stallFrac, ok := s.stall.observe(now, s.swamStallCum()); ok {
 		switch {
-		case stallFrac > s.Cfg.Swam.KillThreshold && now-s.lastSwamKill >= s.Cfg.Swam.Cooldown:
+		case stallFrac > swamKillThreshold && now-s.lastSwamKill >= swamCooldown:
 			if s.onPressure(0) {
 				s.M.SwamKills++
 				s.lastSwamKill = now
 			}
-		case stallFrac > s.Cfg.Swam.ReclaimThreshold:
-			want := int64(float64(s.VM.Phys.TotalFrames) * s.Cfg.Swam.ReclaimFrac)
+		case stallFrac > swamReclaimThreshold:
+			want := int64(float64(s.VM.Phys.TotalFrames) * swamReclaimFrac)
 			if want < 8 {
 				want = 8
 			}

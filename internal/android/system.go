@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"fleetsim/internal/apps"
+	"fleetsim/internal/core"
 	"fleetsim/internal/faults"
 	"fleetsim/internal/gc"
 	"fleetsim/internal/heap"
@@ -79,7 +80,28 @@ func (w *stallWindow) observe(now, cum time.Duration) (frac float64, ok bool) {
 	return float64(cum-oldest.stall) / float64(elapsed), true
 }
 
-// NewSystem boots a device with the given configuration.
+// Kernel-side constants every system runs with.
+const (
+	// kswapdLowFrac / kswapdHighFrac set the reclaim watermarks as
+	// fractions of app DRAM. Android keeps a large free-memory headroom
+	// (extra_free_kbytes) so launches and camera bursts never wait on
+	// reclaim; that headroom is what keeps cached apps' cold pages
+	// flowing to swap.
+	kswapdLowFrac  = 0.08
+	kswapdHighFrac = 0.14
+	// maxOfflineWait bounds how long a faulting thread retries against an
+	// offline swap device before the access aborts with ErrSwapOffline
+	// (the process is then killed like any other unrecoverable fault), so
+	// one injected outage cannot stall an experiment leg unboundedly.
+	maxOfflineWait = 1500 * time.Millisecond
+	// invariantEvery samples reclaim-time invariant checks under
+	// CheckInvariants: reclaim is hot and the sweep is O(pages+objects).
+	invariantEvery = 64
+)
+
+// NewSystem boots a device with the given configuration. Every system
+// runs exactly one lmkd stall monitor: SWAM under PolicySwam, PSI
+// otherwise.
 func NewSystem(cfg SystemConfig) *System {
 	phys := mem.NewPhysical(cfg.Device.AppBytes())
 	swap := vmem.NewBackend(cfg.Device.Swap, cfg.Seed)
@@ -92,17 +114,14 @@ func NewSystem(cfg SystemConfig) *System {
 	}
 	s.VM.OnPressure = s.onPressure
 	s.VM.Now = s.Clock.Now
-	s.VM.MaxOfflineWait = cfg.MaxOfflineWait
-	if cfg.KswapdLowFrac > 0 {
-		s.VM.LowWatermark = int64(float64(phys.TotalFrames) * cfg.KswapdLowFrac)
-		s.VM.HighWatermark = int64(float64(phys.TotalFrames) * cfg.KswapdHighFrac)
-	}
-	switch {
-	case cfg.Policy == PolicySwam && cfg.Swam.Window > 0:
-		s.stall.span = cfg.Swam.Window
+	s.VM.MaxOfflineWait = maxOfflineWait
+	s.VM.LowWatermark = int64(float64(phys.TotalFrames) * kswapdLowFrac)
+	s.VM.HighWatermark = int64(float64(phys.TotalFrames) * kswapdHighFrac)
+	if cfg.Policy == PolicySwam {
+		s.stall.span = swamWindow
 		s.Clock.ScheduleAfter(time.Second, "swam", s.swamTick)
-	case cfg.PSIWindow > 0:
-		s.stall.span = cfg.PSIWindow
+	} else {
+		s.stall.span = psiWindow
 		s.Clock.ScheduleAfter(time.Second, "psi", s.psiTick)
 	}
 	if cfg.Faults != nil {
@@ -111,13 +130,9 @@ func NewSystem(cfg SystemConfig) *System {
 		s.Injector.Start()
 	}
 	if cfg.CheckInvariants {
-		every := int64(cfg.InvariantEvery)
-		if every <= 0 {
-			every = 64
-		}
 		s.VM.AfterReclaim = func() {
 			s.reclaims++
-			if s.reclaims%every == 0 {
+			if s.reclaims%invariantEvery == 0 {
 				s.CheckInvariants()
 			}
 		}
@@ -201,6 +216,14 @@ func (s *System) crashKill(r *xrand.Rand) {
 	s.Kill(victim)
 }
 
+// The PSI monitor kills when the stall fraction over psiWindow exceeds
+// psiKillThreshold, at most once per psiCooldown.
+const (
+	psiWindow        = 30 * time.Second
+	psiKillThreshold = 0.15
+	psiCooldown      = 10 * time.Second
+)
+
 // psiTick is the pressure-stall monitor of lmkd: a sustained rate of
 // GC-induced swap-in stall (collectors faulting back pages the reclaimer
 // just evicted — the thrashing loop of §3.2) plus a nearly full swap
@@ -211,10 +234,10 @@ func (s *System) crashKill(r *xrand.Rand) {
 func (s *System) psiTick(c *simclock.Clock) {
 	now := c.Now()
 	ioFrac, ok := s.stall.observe(now, s.gcFaultCum)
-	if ok && now-s.lastPSIKill >= s.Cfg.PSICooldown {
+	if ok && now-s.lastPSIKill >= psiCooldown {
 		swapFull := s.VM.Swap.TotalSlots() == 0 ||
 			float64(s.VM.Swap.UsedSlots()) > 0.7*float64(s.VM.Swap.TotalSlots())
-		if ioFrac > s.Cfg.PSIKillThreshold && swapFull {
+		if ioFrac > psiKillThreshold && swapFull {
 			if s.onPressure(0) {
 				s.M.PSIKills++
 				s.lastPSIKill = now
@@ -296,6 +319,10 @@ func (s *System) Kill(p *Proc) {
 	}
 }
 
+// fgHeapGrowth is the foreground heap-growth factor (§7.4 varies only the
+// background one, SystemConfig.BgHeapGrowth).
+const fgHeapGrowth = 2.0
+
 // Launch cold-starts an app and brings it to the foreground. The previous
 // foreground app is cached.
 func (s *System) Launch(profile apps.Profile) *Proc {
@@ -305,8 +332,7 @@ func (s *System) Launch(profile apps.Profile) *Proc {
 	}
 	app := apps.NewApp(profile, s.rng.Fork(uint64(len(s.procs))+7), s.VM)
 	p := &Proc{sys: s, App: app, alive: true, state: StateForeground}
-	p.Ctrl = gc.NewController(s.Cfg.FgHeapGrowth)
-	p.Ctrl.MinHeadroom = s.Cfg.MinHeadroomBytes()
+	p.Ctrl = gc.NewController(fgHeapGrowth)
 	p.wirePolicy()
 	s.procs = append(s.procs, p)
 
@@ -411,18 +437,18 @@ func (s *System) makeForeground(p *Proc) {
 	p.lastFg = s.Clock.Now()
 	p.bgSeq++
 	s.Trace.Emit(trace.Event{At: s.Clock.Now(), Kind: trace.KindState, App: p.Name(), Detail: "foreground"})
-	p.Ctrl.GrowthFactor = s.Cfg.FgHeapGrowth
+	p.Ctrl.GrowthFactor = fgHeapGrowth
 	p.Ctrl.Update(p.App.H.LiveBytes())
 	if p.Fleet != nil {
 		p.Fleet.OnForeground()
 		fgAt := p.lastFg
-		s.Clock.ScheduleAfter(s.Cfg.Fleet.ForegroundWait, p.Name()+"-fleet-stop", func(c *simclock.Clock) {
+		s.Clock.ScheduleAfter(core.ForegroundWait, p.Name()+"-fleet-stop", func(c *simclock.Clock) {
 			if p.alive && p.state == StateForeground && p.lastFg == fgAt {
 				p.Fleet.Stop()
 			}
 		})
 	}
-	s.Clock.ScheduleAfter(s.Cfg.FgTick, p.Name()+"-fg", p.fgTickEvent)
+	s.Clock.ScheduleAfter(fgTick, p.Name()+"-fg", p.fgTickEvent)
 }
 
 // toBackground caches the app and starts its background machinery.
@@ -443,14 +469,14 @@ func (s *System) toBackground(p *Proc) {
 		s.fg = nil
 	}
 
-	s.Clock.ScheduleAfter(s.Cfg.BgTick, p.Name()+"-bg", func(c *simclock.Clock) {
+	s.Clock.ScheduleAfter(bgTick, p.Name()+"-bg", func(c *simclock.Clock) {
 		p.bgTickEvent(c, seq)
 	})
 
 	switch {
 	case p.Fleet != nil:
 		p.Fleet.OnBackground()
-		s.Clock.ScheduleAfter(s.Cfg.Fleet.BackgroundWait, p.Name()+"-fleet-group", func(c *simclock.Clock) {
+		s.Clock.ScheduleAfter(core.BackgroundWait, p.Name()+"-fleet-group", func(c *simclock.Clock) {
 			if !p.alive || p.state != StateBackground || p.bgSeq != seq {
 				return
 			}
@@ -467,9 +493,9 @@ func (s *System) toBackground(p *Proc) {
 					return
 				}
 				p.Fleet.RefreshAdvice()
-				c.ScheduleAfter(s.Cfg.Fleet.AdvisePeriod, p.Name()+"-fleet-advise", refresh)
+				c.ScheduleAfter(core.AdvisePeriod, p.Name()+"-fleet-advise", refresh)
 			}
-			c.ScheduleAfter(s.Cfg.Fleet.AdvisePeriod, p.Name()+"-fleet-advise", refresh)
+			c.ScheduleAfter(core.AdvisePeriod, p.Name()+"-fleet-advise", refresh)
 		})
 	case p.Marvin != nil:
 		// Marvin's proactive object reclaim shortly after caching.
@@ -486,6 +512,12 @@ func (s *System) toBackground(p *Proc) {
 	}
 }
 
+// fgTick / bgTick are the foreground and cached-state workload step sizes.
+const (
+	fgTick = 100 * time.Millisecond
+	bgTick = time.Second
+)
+
 // fgTickEvent advances one foreground workload step.
 func (p *Proc) fgTickEvent(c *simclock.Clock) {
 	s := p.sys
@@ -493,18 +525,18 @@ func (p *Proc) fgTickEvent(c *simclock.Clock) {
 		return
 	}
 	now := c.Now()
-	stall, err := p.App.ForegroundTick(now, s.Cfg.FgTick)
+	stall, err := p.App.ForegroundTick(now, fgTick)
 	var pause time.Duration
 	if res, ran := p.maybeThresholdGC(now, false); ran {
 		pause = res.PauseSTW
 		err = firstErr(err, res.Err)
 	}
-	p.accountFrames(s.Cfg.FgTick, stall+pause)
+	p.accountFrames(fgTick, stall+pause)
 	if err != nil {
 		s.oomKill(p, err)
 		return
 	}
-	s.Clock.ScheduleAfter(s.Cfg.FgTick, p.Name()+"-fg", p.fgTickEvent)
+	s.Clock.ScheduleAfter(fgTick, p.Name()+"-fg", p.fgTickEvent)
 }
 
 // accountFrames applies the §7.3 frame model: the tick renders
@@ -539,8 +571,8 @@ func (p *Proc) bgTickEvent(c *simclock.Clock, seq int) {
 		return
 	}
 	now := c.Now()
-	_, err := p.App.BackgroundTick(now, s.Cfg.BgTick)
-	s.M.cpu(p.App.Name).Mutator += s.Cfg.BgTick / 100
+	_, err := p.App.BackgroundTick(now, bgTick)
+	s.M.cpu(p.App.Name).Mutator += bgTick / 100
 
 	if res, ran := p.maybeThresholdGC(now, true); ran {
 		p.lastFullGC = now
@@ -554,7 +586,7 @@ func (p *Proc) bgTickEvent(c *simclock.Clock, seq int) {
 		s.oomKill(p, err)
 		return
 	}
-	s.Clock.ScheduleAfter(s.Cfg.BgTick, p.Name()+"-bg", func(c *simclock.Clock) {
+	s.Clock.ScheduleAfter(bgTick, p.Name()+"-bg", func(c *simclock.Clock) {
 		p.bgTickEvent(c, seq)
 	})
 }

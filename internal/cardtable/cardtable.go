@@ -1,9 +1,9 @@
 // Package cardtable implements the byte-per-card remembered set Fleet's
 // background-object GC uses to find references from foreground objects into
 // the background heap (§5.2 of the paper). One card byte covers
-// 1<<CardShift bytes of heap address space; the write barrier dirties the
-// card for any written FGO, and the collector scans dirty cards to extend
-// its root set.
+// 1<<DefaultCardShift bytes of heap address space; the write barrier
+// dirties the card for any written FGO, and the collector scans dirty
+// cards to extend its root set.
 package cardtable
 
 import "fleetsim/internal/units"
@@ -17,28 +17,20 @@ const (
 // DefaultCardShift matches Table 2 (CARD_SHIFT = 10, i.e. 1 KiB per card).
 const DefaultCardShift = 10
 
+// cardSize is the heap span one card covers.
+const cardSize = int64(1) << DefaultCardShift
+
 // Table is a card table covering a heap address space starting at 0.
 type Table struct {
-	shift uint
 	cards []byte
 	dirty int
 }
 
-// New creates a table with the given CARD_SHIFT covering heapBytes of
-// address space (it grows on demand if the heap grows).
-func New(shift uint, heapBytes int64) *Table {
-	if shift == 0 {
-		shift = DefaultCardShift
-	}
-	n := heapBytes >> shift
-	if heapBytes&((1<<shift)-1) != 0 {
-		n++
-	}
-	return &Table{shift: shift, cards: make([]byte, n)}
+// New creates a table covering heapBytes of address space (it grows on
+// demand if the heap grows).
+func New(heapBytes int64) *Table {
+	return &Table{cards: make([]byte, TableBytesForHeap(heapBytes))}
 }
-
-// Shift returns the configured CARD_SHIFT.
-func (t *Table) Shift() uint { return t.shift }
 
 // SizeBytes returns the memory footprint of the table itself — the paper's
 // §7.3 memory-overhead discussion (4 MB table for a 4 GB heap at shift 10).
@@ -47,7 +39,7 @@ func (t *Table) SizeBytes() int64 { return int64(len(t.cards)) }
 // cardIndex translates a heap address to a card index, growing the table as
 // the heap's address space grows.
 func (t *Table) cardIndex(addr int64) int {
-	i := int(addr >> t.shift)
+	i := int(addr >> DefaultCardShift)
 	for i >= len(t.cards) {
 		t.cards = append(t.cards, make([]byte, len(t.cards)+64)...)
 	}
@@ -66,7 +58,7 @@ func (t *Table) MarkDirty(addr int64) {
 
 // IsDirty reports whether addr's card is dirty.
 func (t *Table) IsDirty(addr int64) bool {
-	i := int(addr >> t.shift)
+	i := int(addr >> DefaultCardShift)
 	return i < len(t.cards) && t.cards[i] == CardDirty
 }
 
@@ -77,7 +69,6 @@ func (t *Table) DirtyCards() int { return t.dirty }
 // in ascending order. If clear is true the cards are cleared as they are
 // visited (the collector's scan-and-reset).
 func (t *Table) ScanDirty(clear bool, fn func(start, size int64)) {
-	cardSize := int64(1) << t.shift
 	for i, c := range t.cards {
 		if c != CardDirty {
 			continue
@@ -101,18 +92,14 @@ func (t *Table) Clear() {
 
 // CardFor returns the inclusive address range covered by addr's card.
 func (t *Table) CardFor(addr int64) (start, size int64) {
-	cardSize := int64(1) << t.shift
-	return (addr >> t.shift) << t.shift, cardSize
+	return (addr >> DefaultCardShift) << DefaultCardShift, cardSize
 }
 
 // TableBytesForHeap is the §7.3 arithmetic helper: the card-table overhead
-// for a heap of the given size at the given shift.
-func TableBytesForHeap(heapBytes int64, shift uint) int64 {
-	if shift == 0 {
-		shift = DefaultCardShift
-	}
-	n := heapBytes >> shift
-	if heapBytes&((1<<shift)-1) != 0 {
+// for a heap of the given size.
+func TableBytesForHeap(heapBytes int64) int64 {
+	n := heapBytes >> DefaultCardShift
+	if heapBytes&(cardSize-1) != 0 {
 		n++
 	}
 	return n
@@ -121,5 +108,5 @@ func TableBytesForHeap(heapBytes int64, shift uint) int64 {
 // DefaultTableBytes reproduces the paper's "4 MB card table for the 4 GB
 // heap" figure.
 func DefaultTableBytes() int64 {
-	return TableBytesForHeap(4*units.GiB, DefaultCardShift)
+	return TableBytesForHeap(4 * units.GiB)
 }

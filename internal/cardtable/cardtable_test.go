@@ -8,7 +8,7 @@ import (
 )
 
 func TestMarkAndScan(t *testing.T) {
-	ct := New(10, 64*units.KiB)
+	ct := New(64 * units.KiB)
 	ct.MarkDirty(0)
 	ct.MarkDirty(1025) // second card
 	ct.MarkDirty(1030) // same card, no double count
@@ -29,7 +29,7 @@ func TestMarkAndScan(t *testing.T) {
 }
 
 func TestScanWithoutClear(t *testing.T) {
-	ct := New(10, 64*units.KiB)
+	ct := New(64 * units.KiB)
 	ct.MarkDirty(5000)
 	n := 0
 	ct.ScanDirty(false, func(start, size int64) { n++ })
@@ -40,7 +40,7 @@ func TestScanWithoutClear(t *testing.T) {
 }
 
 func TestIsDirty(t *testing.T) {
-	ct := New(10, 64*units.KiB)
+	ct := New(64 * units.KiB)
 	ct.MarkDirty(2048)
 	if !ct.IsDirty(2048) || !ct.IsDirty(2048+1023) {
 		t.Error("card should be dirty across its whole range")
@@ -55,7 +55,7 @@ func TestIsDirty(t *testing.T) {
 }
 
 func TestGrowsOnDemand(t *testing.T) {
-	ct := New(10, units.KiB) // one card
+	ct := New(units.KiB) // one card
 	ct.MarkDirty(100 * units.KiB)
 	if !ct.IsDirty(100 * units.KiB) {
 		t.Error("table must grow to cover new heap space")
@@ -63,7 +63,7 @@ func TestGrowsOnDemand(t *testing.T) {
 }
 
 func TestClear(t *testing.T) {
-	ct := New(10, 64*units.KiB)
+	ct := New(64 * units.KiB)
 	for i := int64(0); i < 10; i++ {
 		ct.MarkDirty(i * 1024)
 	}
@@ -74,7 +74,7 @@ func TestClear(t *testing.T) {
 }
 
 func TestCardFor(t *testing.T) {
-	ct := New(10, 64*units.KiB)
+	ct := New(64 * units.KiB)
 	start, size := ct.CardFor(2500)
 	if start != 2048 || size != 1024 {
 		t.Errorf("CardFor(2500) = (%d,%d)", start, size)
@@ -90,18 +90,11 @@ func TestPaperMemoryOverhead(t *testing.T) {
 }
 
 func TestTableBytesForHeapRounding(t *testing.T) {
-	if got := TableBytesForHeap(1025, 10); got != 2 {
+	if got := TableBytesForHeap(1025); got != 2 {
 		t.Errorf("TableBytesForHeap(1025) = %d, want 2", got)
 	}
-	if got := TableBytesForHeap(1024, 10); got != 1 {
+	if got := TableBytesForHeap(1024); got != 1 {
 		t.Errorf("TableBytesForHeap(1024) = %d, want 1", got)
-	}
-}
-
-func TestDefaultShiftApplied(t *testing.T) {
-	ct := New(0, units.MiB)
-	if ct.Shift() != DefaultCardShift {
-		t.Errorf("shift = %d", ct.Shift())
 	}
 }
 
@@ -109,7 +102,7 @@ func TestDefaultShiftApplied(t *testing.T) {
 // and scanning visits each exactly once with the covering range.
 func TestScanCoversMarkedAddresses(t *testing.T) {
 	f := func(addrsRaw []uint32) bool {
-		ct := New(10, units.MiB)
+		ct := New(units.MiB)
 		want := map[int64]bool{}
 		for _, a := range addrsRaw {
 			addr := int64(a % (8 * 1024 * 1024))

@@ -19,43 +19,31 @@
 //     (HOT_RUNTIME) so the next hot-launch finds them resident.
 package core
 
-import (
-	"time"
+import "time"
 
-	"fleetsim/internal/cardtable"
-)
-
-// Config carries Fleet's tunables; defaults are the paper's Table 2.
-type Config struct {
-	// NRODepth is D: the maximum BFS depth from the roots for an object to
-	// be classified NRO.
-	NRODepth int
+// Table 2's timing parameters. The runtime owns the clock, so it schedules
+// Fleet's lifecycle with these.
+const (
 	// BackgroundWait is Ts: how long after the switch to background Fleet
 	// waits before running the grouping GC, so the app settles.
-	BackgroundWait time.Duration
+	BackgroundWait = 10 * time.Second
 	// ForegroundWait is Tf: how long after the switch to foreground Fleet
 	// waits before standing down.
-	ForegroundWait time.Duration
-	// CardShift is the BGC card table's CARD_SHIFT.
-	CardShift uint
-	// WSWindow is the recency horizon for working-set classification: an
-	// object counts as WS if a mutator touched it within this window
-	// before the grouping GC. It stands in for the paper's read-barrier
-	// marking, which needs true concurrency (see DESIGN.md §5).
-	WSWindow time.Duration
+	ForegroundWait = 3 * time.Second
 	// AdvisePeriod is how often RGS re-issues HOT_RUNTIME advice for
 	// launch regions while the app stays backgrounded (§5.3.2 "RGS will
 	// periodically execute the madvise system call").
-	AdvisePeriod time.Duration
+	AdvisePeriod = 5 * time.Second
+)
 
-	// LeakFallbackCycles implements §5.2's memory-leak discussion: if this
-	// many consecutive BGC cycles reclaim less than LeakFallbackRatio of
-	// the background allocation volume, Fleet "resorts to the original
-	// Android method of using full tracing to clear garbage objects from
-	// the entire Java heap". 0 disables the fallback.
-	LeakFallbackCycles int
-	// LeakFallbackRatio is the reclaim-efficiency floor for the fallback.
-	LeakFallbackRatio float64
+// Config carries the Fleet settings the evaluation varies: the NRO depth
+// D (Table 2's default; Fig. 6b sweeps it) and the two RGS advice
+// ablation switches. Ts, Tf and CARD_SHIFT are fixed at Table 2's values.
+type Config struct {
+	// NRODepth is D: the maximum BFS depth from the roots for an object to
+	// be classified NRO. 0 is valid (only the roots are near-root
+	// objects).
+	NRODepth int
 
 	// DisableColdAdvise is an ablation switch: grouping still happens but
 	// COLD_RUNTIME is never issued (cold pages are left to the kernel
@@ -68,16 +56,7 @@ type Config struct {
 
 // DefaultConfig returns Table 2's settings.
 func DefaultConfig() Config {
-	return Config{
-		NRODepth:           2,
-		BackgroundWait:     10 * time.Second,
-		ForegroundWait:     3 * time.Second,
-		CardShift:          cardtable.DefaultCardShift,
-		WSWindow:           10 * time.Second,
-		AdvisePeriod:       5 * time.Second,
-		LeakFallbackCycles: 4,
-		LeakFallbackRatio:  0.25,
-	}
+	return Config{NRODepth: 2}
 }
 
 // Class is an object's RGS classification (§5.3.1).

@@ -14,9 +14,7 @@ import (
 // the §5.2 full-tracing fallback and clear FGO garbage too.
 func TestLeakFallbackTriggersFullGC(t *testing.T) {
 	h, vm := newRig(256 * units.MiB)
-	cfg := DefaultConfig()
-	cfg.LeakFallbackCycles = 3
-	f := New(cfg, h, vm)
+	f := New(DefaultConfig(), h, vm)
 	root, hub, _, deep := buildApp(h, 0)
 	gc.Major(h, nil, time.Second)
 	f.OnBackground()
@@ -66,9 +64,7 @@ func TestLeakFallbackTriggersFullGC(t *testing.T) {
 // keeps BGC yield high, so the fallback stays quiet.
 func TestHealthyBGCNeverFallsBack(t *testing.T) {
 	h, vm := newRig(256 * units.MiB)
-	cfg := DefaultConfig()
-	cfg.LeakFallbackCycles = 3
-	f := New(cfg, h, vm)
+	f := New(DefaultConfig(), h, vm)
 	buildApp(h, 0)
 	gc.Major(h, nil, time.Second)
 	f.OnBackground()

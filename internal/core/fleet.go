@@ -89,13 +89,8 @@ type Fleet struct {
 	swapFallbacks int
 }
 
-// New creates a Fleet instance for the heap. A zero Config selects
-// DefaultConfig; an explicit NRODepth of 0 is valid (only the roots are
-// near-root objects).
+// New creates a Fleet instance for the heap.
 func New(cfg Config, h *heap.Heap, vm *vmem.Manager) *Fleet {
-	if cfg == (Config{}) {
-		cfg = DefaultConfig()
-	}
 	return &Fleet{cfg: cfg, h: h, vm: vm}
 }
 
@@ -162,6 +157,12 @@ func (f *Fleet) WriteBarrier(id heap.ObjectID) {
 	}
 }
 
+// wsWindow is the recency horizon for working-set classification: an
+// object counts as WS if a mutator touched it within this window before
+// the grouping GC. It stands in for the paper's read-barrier marking,
+// which needs true concurrency (see DESIGN.md §5).
+const wsWindow = 10 * time.Second
+
 // classify computes an object's class given its BFS depth (§5.3.1 rules).
 func (f *Fleet) classify(o *heap.Object, depth int, now time.Duration) Class {
 	if depth >= 0 && depth <= f.cfg.NRODepth {
@@ -170,7 +171,7 @@ func (f *Fleet) classify(o *heap.Object, depth int, now time.Duration) Class {
 	if f.h.RegionByID(o.Region).NewlyAllocated {
 		return ClassFYO
 	}
-	if now-o.LastAccess <= f.cfg.WSWindow {
+	if now-o.LastAccess <= wsWindow {
 		return ClassWS
 	}
 	return ClassCold
@@ -279,7 +280,7 @@ func (f *Fleet) RunGrouping(now time.Duration) gc.Result {
 	h.NoteGCComplete()
 
 	// Arm BGC: fresh card table over the (now fully FGO) heap.
-	f.card = cardtable.New(f.cfg.CardShift, h.HeapBytes())
+	f.card = cardtable.New(h.HeapBytes())
 	f.state = StateActive
 
 	// RGS step 2: steer the kernel.
@@ -312,6 +313,15 @@ func (f *Fleet) RefreshAdvice() {
 		f.adviseHotLocked()
 	}
 }
+
+// The §5.2 memory-leak fallback: once leakFallbackCycles consecutive BGC
+// cycles each reclaim less than leakFallbackRatio of the background
+// allocation volume, Fleet "resorts to the original Android method of
+// using full tracing to clear garbage objects from the entire Java heap".
+const (
+	leakFallbackCycles = 4
+	leakFallbackRatio  = 0.25
+)
 
 // RunBGC is the background-object GC (§5.2): trace only BGO, extending the
 // roots with FGO objects whose cards are dirty; evacuate live BGO; free BGO
@@ -370,13 +380,13 @@ func (f *Fleet) RunBGC(now time.Duration) gc.Result {
 	// Leak detection: a BGC that keeps reclaiming almost none of the
 	// background allocation volume indicates FGO-held garbage chains; run
 	// the full-heap collection the paper prescribes.
-	if f.cfg.LeakFallbackCycles > 0 && allocSinceGC > 0 {
-		if float64(res.BytesFreed) < f.cfg.LeakFallbackRatio*float64(allocSinceGC) {
+	if allocSinceGC > 0 {
+		if float64(res.BytesFreed) < leakFallbackRatio*float64(allocSinceGC) {
 			f.lowYieldCycles++
 		} else {
 			f.lowYieldCycles = 0
 		}
-		if f.lowYieldCycles >= f.cfg.LeakFallbackCycles {
+		if f.lowYieldCycles >= leakFallbackCycles {
 			f.lowYieldCycles = 0
 			f.fullFallbacks++
 			full := gc.Major(h, nil, now)

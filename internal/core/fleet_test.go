@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"fleetsim/internal/cardtable"
 	"fleetsim/internal/gc"
 	"fleetsim/internal/heap"
 	"fleetsim/internal/mem"
@@ -49,18 +50,17 @@ func buildApp(h *heap.Heap, now time.Duration) (root, hub heap.ObjectID, nros, d
 }
 
 func TestDefaultConfigMatchesTable2(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.NRODepth != 2 {
-		t.Errorf("D = %d, want 2", cfg.NRODepth)
+	if d := DefaultConfig().NRODepth; d != 2 {
+		t.Errorf("D = %d, want 2", d)
 	}
-	if cfg.BackgroundWait != 10*time.Second {
-		t.Errorf("Ts = %v", cfg.BackgroundWait)
+	if BackgroundWait != 10*time.Second {
+		t.Errorf("Ts = %v", BackgroundWait)
 	}
-	if cfg.ForegroundWait != 3*time.Second {
-		t.Errorf("Tf = %v", cfg.ForegroundWait)
+	if ForegroundWait != 3*time.Second {
+		t.Errorf("Tf = %v", ForegroundWait)
 	}
-	if cfg.CardShift != 10 {
-		t.Errorf("CARD_SHIFT = %d", cfg.CardShift)
+	if cardtable.DefaultCardShift != 10 {
+		t.Errorf("CARD_SHIFT = %d", cardtable.DefaultCardShift)
 	}
 }
 
@@ -69,7 +69,7 @@ func TestGroupingClassifiesNRO(t *testing.T) {
 	f := New(DefaultConfig(), h, vm)
 	root, hub, nros, deep := buildApp(h, 0)
 	// Age everything so FYO/WS don't apply (grouping at t=100s,
-	// WSWindow=10s).
+	// wsWindow=10s).
 	now := 100 * time.Second
 	f.OnBackground()
 	f.RunGrouping(now)
@@ -82,6 +82,25 @@ func TestGroupingClassifiesNRO(t *testing.T) {
 	for _, id := range deep[2:] { // depth > 2+2
 		if f.ClassOf(id) == ClassNRO {
 			t.Errorf("deep object %d wrongly NRO", id)
+		}
+	}
+}
+
+// TestNRODepthZeroKeepsOnlyRoots: D=0 is a real setting (Fig. 6b and
+// extdepth sweep it), not a request for the default depth.
+func TestNRODepthZeroKeepsOnlyRoots(t *testing.T) {
+	h, vm := newRig(256 * units.MiB)
+	f := New(Config{NRODepth: 0}, h, vm)
+	root, hub, nros, deep := buildApp(h, 0)
+	f.OnBackground()
+	f.RunGrouping(100 * time.Second)
+
+	if f.ClassOf(root) != ClassNRO {
+		t.Errorf("root class = %v, want NRO", f.ClassOf(root))
+	}
+	for _, id := range append(append([]heap.ObjectID{hub}, nros...), deep...) {
+		if f.ClassOf(id) == ClassNRO {
+			t.Errorf("non-root object %d classified NRO at D=0", id)
 		}
 	}
 }

@@ -284,9 +284,11 @@ func ChaosSupervised(p Params, opts ChaosOpts) ChaosReport {
 
 	var resumed atomic.Int64
 	pol := runner.Policy{
-		Deadline:  opts.Deadline,
-		Retries:   opts.Retries,
-		Retryable: func(err error) bool { return !errors.Is(err, errSkipped) },
+		Deadline: opts.Deadline,
+		Retries:  opts.Retries,
+		Retryable: func(err error) bool {
+			return !errors.Is(err, errSkipped) && !errors.Is(err, snapshot.ErrJournalFailed)
+		},
 	}
 	rows, legErrs := runner.SupervisedMap(cells, pol, func(_ int, c chaosCell) (ChaosRow, error) {
 		if opts.Interrupted != nil && opts.Interrupted() {
@@ -318,7 +320,9 @@ func ChaosSupervised(p Params, opts ChaosOpts) ChaosReport {
 			}
 		}
 		if opts.Store != nil {
-			opts.Store.Put(cellKey, row)
+			if err := opts.Store.Put(cellKey, row); err != nil {
+				return ChaosRow{}, fmt.Errorf("checkpoint cell %s: %w", cellKey, err)
+			}
 		}
 		return row, nil
 	})

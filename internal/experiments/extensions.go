@@ -72,11 +72,13 @@ func extLegs(p Params, legs ...extLeg) []ExtRow {
 // compressed-RAM ("RAM plus") device for both Android and Fleet: fast swap
 // shrinks the launch-latency gap, but Fleet's GC-range restriction still
 // pays off because zram steals DRAM and the GC-swap conflict persists.
+// Each row names its device, so -backend does not move it.
 func ExtZram(p Params) []ExtRow {
+	flash := func(c *android.SystemConfig) { c.Device = android.Pixel3(p.Scale) }
 	zram := func(c *android.SystemConfig) { c.Device = android.Pixel3Zram(p.Scale) }
 	return extLegs(p,
-		extLeg{"Android flash", android.PolicyAndroid, nil},
-		extLeg{"Fleet flash", android.PolicyFleet, nil},
+		extLeg{"Android flash", android.PolicyAndroid, flash},
+		extLeg{"Fleet flash", android.PolicyFleet, flash},
 		extLeg{"Android zram", android.PolicyAndroid, zram},
 		extLeg{"Fleet zram", android.PolicyFleet, zram},
 	)
@@ -89,10 +91,11 @@ func ExtZram(p Params) []ExtRow {
 // stalls are invisible to the refault-only PSI signal but first-class to
 // SWAM.
 func ExtSwam(p Params) []ExtRow {
+	flash := func(c *android.SystemConfig) { c.Device = android.Pixel3(p.Scale) }
 	zram := func(c *android.SystemConfig) { c.Device = android.Pixel3Zram(p.Scale) }
 	return extLegs(p,
-		extLeg{"Android flash", android.PolicyAndroid, nil},
-		extLeg{"Swam flash", android.PolicySwam, nil},
+		extLeg{"Android flash", android.PolicyAndroid, flash},
+		extLeg{"Swam flash", android.PolicySwam, flash},
 		extLeg{"Android zram", android.PolicyAndroid, zram},
 		extLeg{"Swam zram", android.PolicySwam, zram},
 	)

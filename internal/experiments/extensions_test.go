@@ -48,6 +48,23 @@ func TestExtZramStory(t *testing.T) {
 	}
 }
 
+// TestExtZramFlashRowsIgnoreBackend: the flash rows of the backend
+// comparison run on the flash device even when Params select zram.
+func TestExtZramFlashRowsIgnoreBackend(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	p := detParams(7)
+	want := ExtZram(p)[:2]
+	p.Backend = "zram"
+	got := ExtZram(p)[:2]
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("-backend zram %s row = %+v, want the flash run's %+v", want[i].Label, got[i], want[i])
+		}
+	}
+}
+
 func TestExtSwamStory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

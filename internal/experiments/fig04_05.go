@@ -36,7 +36,7 @@ func newSoloRig(p Params, profile apps.Profile) *soloRig {
 	swapCfg.SizeBytes = 2 * profile.TotalBytes()
 	vm := vmem.NewManager(phys, vmem.NewSwapDevice(swapCfg))
 	app := apps.NewApp(profile, xrand.New(p.Seed), vm)
-	rs := gc.NewRememberedSet(app.H, 10)
+	rs := gc.NewRememberedSet(app.H)
 	app.H.WriteBarrier = rs.Barrier
 	ctrl := gc.NewController(1.3)
 	ctrl.MinHeadroom = 2 * units.MiB / p.Scale

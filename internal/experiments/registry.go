@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"fleetsim/internal/apps"
+	"fleetsim/internal/cardtable"
 	"fleetsim/internal/core"
 )
 
@@ -113,14 +114,13 @@ var registry = []Spec{
 `
 	}},
 	{Name: "tab2", Desc: "Fleet default parameters", Run: func(Params) string {
-		cfg := core.DefaultConfig()
 		return fmt.Sprintf(`Table 2 — Fleet defaults
   NRO depth D:          %d
   Background wait Ts:   %v
   Foreground wait Tf:   %v
   CARD_SHIFT:           %d
   Region size:          256 KiB
-`, cfg.NRODepth, cfg.BackgroundWait, cfg.ForegroundWait, cfg.CardShift)
+`, core.DefaultConfig().NRODepth, core.BackgroundWait, core.ForegroundWait, cardtable.DefaultCardShift)
 	}},
 	{Name: "tab3", Desc: "commercial app set", Run: func(p Params) string {
 		var b strings.Builder

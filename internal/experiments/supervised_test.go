@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"path/filepath"
 	"reflect"
 	"sync/atomic"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"fleetsim/internal/android"
+	"fleetsim/internal/fsio"
 	"fleetsim/internal/snapshot"
 )
 
@@ -71,6 +73,48 @@ func TestChaosResume(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Rows, want.Rows) {
 		t.Errorf("resumed rows differ from uninterrupted run:\n got: %+v\nwant: %+v", got.Rows, want.Rows)
+	}
+}
+
+// TestChaosRefusedCheckpointFailsCell opens the chaos journal on a disk
+// whose fsyncs fail once the store is open: every append is refused, so
+// every cell must fail rather than pass without its checkpoint.
+func TestChaosRefusedCheckpointFailsCell(t *testing.T) {
+	p := chaosTestParams()
+	dir := t.TempDir()
+	open := func(fsys fsio.FS, name string) *snapshot.Store {
+		st, err := snapshot.OpenFS(fsys, filepath.Join(dir, name), ChaosCampaignKey(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	// A dry run over a transparent Faulty counts the fsyncs opening a
+	// store issues; failing every later one makes the first append fail.
+	dry := fsio.NewFaulty(fsio.OS{}, fsio.FaultConfig{})
+	drySt := open(dry, "dry.jsonl")
+	startupSyncs := dry.Stats().Syncs
+	drySt.Close()
+	if startupSyncs < 1 {
+		t.Fatal("opening a store issued no fsync")
+	}
+	st := open(fsio.NewFaulty(fsio.OS{}, fsio.FaultConfig{FailSyncAfter: startupSyncs}), "chaos.jsonl")
+	defer st.Close()
+
+	rep := ChaosSupervised(p, ChaosOpts{Seeds: 1, Store: st})
+	if rep.Passed() {
+		t.Fatalf("campaign passed with a refused journal:\n%s", FormatChaosReport(rep))
+	}
+	if len(rep.Rows) == 0 || len(rep.Errors) != len(rep.Rows) {
+		t.Fatalf("%d failed cells of %d rows, want every cell failed", len(rep.Errors), len(rep.Rows))
+	}
+	for _, le := range rep.Errors {
+		if !errors.Is(le.Err, snapshot.ErrJournalFailed) {
+			t.Errorf("cell %d failed with %v, want ErrJournalFailed", le.Index, le.Err)
+		}
+	}
+	if st.Len() != 0 {
+		t.Errorf("refused journal holds %d cells", st.Len())
 	}
 }
 

@@ -51,7 +51,7 @@ func TestFleetFallsBackWhenSwapOffline(t *testing.T) {
 		return vmem.FaultState{}
 	})
 
-	f := core.New(core.Config{}, h, vm)
+	f := core.New(core.DefaultConfig(), h, vm)
 	f.OnBackground()
 	offline = true
 	res := f.RunGrouping(10 * time.Second)
@@ -94,7 +94,7 @@ func TestFleetGroupsNormallyWithoutSwapDevice(t *testing.T) {
 	h := heap.New(mem.NewAddressSpace("noswap"), vm)
 	buildGraph(h, 50)
 
-	f := core.New(core.Config{}, h, vm)
+	f := core.New(core.DefaultConfig(), h, vm)
 	f.OnBackground()
 	res := f.RunGrouping(10 * time.Second)
 	if res.Kind != gc.KindGrouping {

@@ -96,8 +96,8 @@ type RememberedSet struct {
 
 // NewRememberedSet attaches a remembered set to h. The caller composes
 // Barrier into the heap's write-barrier chain.
-func NewRememberedSet(h *heap.Heap, shift uint) *RememberedSet {
-	return &RememberedSet{h: h, table: cardtable.New(shift, h.HeapBytes())}
+func NewRememberedSet(h *heap.Heap) *RememberedSet {
+	return &RememberedSet{h: h, table: cardtable.New(h.HeapBytes())}
 }
 
 // Table exposes the underlying card table (sizing stats).

@@ -11,7 +11,11 @@ type Controller struct {
 	// trigger threshold.
 	GrowthFactor float64
 	// MinHeadroom is the least allocation budget granted after a GC, so
-	// tiny heaps do not collect on every allocation.
+	// tiny heaps do not collect on every allocation. NewController's 2 MiB
+	// deliberately does NOT scale with the device: the background GC
+	// cadence it induces (roughly one threshold collection per minute of
+	// cached trickle allocation) is part of the calibrated Android
+	// behaviour; see DESIGN.md §4.
 	MinHeadroom int64
 
 	liveAtGC  int64

@@ -154,7 +154,7 @@ func TestMajorPreservesRefsAcrossCompaction(t *testing.T) {
 
 func TestMinorOnlyCollectsYoung(t *testing.T) {
 	h := newTestHeap()
-	rs := NewRememberedSet(h, 10)
+	rs := NewRememberedSet(h)
 	h.WriteBarrier = rs.Barrier
 
 	// Old generation: root -> oldLive; oldGarbage unreachable.
@@ -187,7 +187,7 @@ func TestMinorOnlyCollectsYoung(t *testing.T) {
 
 func TestMinorUsesRememberedSet(t *testing.T) {
 	h := newTestHeap()
-	rs := NewRememberedSet(h, 10)
+	rs := NewRememberedSet(h)
 	h.WriteBarrier = rs.Barrier
 
 	// Old object NOT reachable from roots after the epoch, holding the

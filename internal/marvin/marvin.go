@@ -52,22 +52,21 @@ const (
 	StubBytesPerRef = 4
 )
 
-// DefaultThreshold is the large-object threshold used in the paper's
-// evaluation (§6, "we set the threshold parameter to 1024 bytes").
-const DefaultThreshold int32 = 1024
+// Object-LRU eligibility.
+const (
+	// Threshold is the large-object threshold used in the paper's
+	// evaluation (§6, "we set the threshold parameter to 1024 bytes"):
+	// smaller objects are never swapped.
+	Threshold int32 = 1024
+	// coldWindow is how long an eligible object must go untouched before
+	// the object LRU may evict it.
+	coldWindow = 5 * time.Second
+)
 
 // Marvin manages one app's heap under the Marvin policy.
 type Marvin struct {
 	h  *heap.Heap
 	vm *vmem.Manager
-
-	// Threshold is the large-object threshold: smaller objects are never
-	// swapped.
-	Threshold int32
-
-	// ColdWindow is how long an eligible object must go untouched before
-	// the object LRU may evict it.
-	ColdWindow time.Duration
 
 	// bookmarked tracks objects whose data lives in (object) swap and
 	// whose stub is resident. Keyed by ObjectID; entries are dropped when
@@ -82,8 +81,6 @@ func New(h *heap.Heap, vm *vmem.Manager) *Marvin {
 	return &Marvin{
 		h:          h,
 		vm:         vm,
-		Threshold:  DefaultThreshold,
-		ColdWindow: 5 * time.Second,
 		bookmarked: make(map[heap.ObjectID]struct{}),
 	}
 }
@@ -126,7 +123,7 @@ func (m *Marvin) stubSize(id heap.ObjectID) int64 {
 
 // SwapOutCold is Marvin's proactive reclaimer: evict up to budgetBytes of
 // the least-recently-used eligible objects (live, at least Threshold bytes,
-// idle past ColdWindow, not already bookmarked, not a root). It returns the
+// idle past coldWindow, not already bookmarked, not a root). It returns the
 // number of objects evicted, the bytes reclaimed from DRAM, and the STW
 // pause the eviction charged (stub creation is a stop-the-world operation,
 // §3.1). Write IO is charged asynchronously via the vmem stats.
@@ -143,7 +140,7 @@ func (m *Marvin) SwapOutCold(now time.Duration, budgetBytes int64) (objects int,
 		}
 		for _, id := range r.Objects {
 			o := h.Object(id)
-			if !o.Live() || o.Region != r.ID || o.Size < m.Threshold {
+			if !o.Live() || o.Region != r.ID || o.Size < Threshold {
 				continue
 			}
 			if h.IsRoot(id) {
@@ -152,7 +149,7 @@ func (m *Marvin) SwapOutCold(now time.Duration, budgetBytes int64) (objects int,
 			if _, done := m.bookmarked[id]; done {
 				continue
 			}
-			if now-o.LastAccess < m.ColdWindow {
+			if now-o.LastAccess < coldWindow {
 				continue
 			}
 			cands = append(cands, cand{id, o.LastAccess})

@@ -35,10 +35,6 @@ type Tier struct {
 	// CPUFactor multiplies app launch CPU costs (1.0 = Pixel 3 class;
 	// >1 slower silicon, <1 faster).
 	CPUFactor float64 `json:"cpu_factor"`
-	// DRAMBandwidth is the tier silicon's DRAM streaming rate in bytes/s
-	// (0 = the paper's Pixel 3 measurement); it lands in the device
-	// profile's DRAMBandwidth field.
-	DRAMBandwidth float64 `json:"dram_bandwidth,omitempty"`
 	// Backend names the tier's swap backend ("" or "flash" for the flash
 	// partition, "zram" for the compressed backend with flash backing).
 	Backend string `json:"backend,omitempty"`
@@ -53,10 +49,10 @@ type Tier struct {
 // "-tiers mid:4,zram:2".
 func builtinTiers() []Tier {
 	return []Tier{
-		{Name: "low", DRAMBytes: 3 * units.GiB, SwapBytes: 1 * units.GiB, CPUFactor: 1.6, DRAMBandwidth: 6.4e9, Weight: 3},
+		{Name: "low", DRAMBytes: 3 * units.GiB, SwapBytes: 1 * units.GiB, CPUFactor: 1.6, Weight: 3},
 		{Name: "mid", DRAMBytes: 4 * units.GiB, SwapBytes: 2 * units.GiB, CPUFactor: 1.0, Weight: 6},
-		{Name: "high", DRAMBytes: 6 * units.GiB, SwapBytes: 3 * units.GiB, CPUFactor: 0.8, DRAMBandwidth: 12.8e9, Weight: 2},
-		{Name: "flagship", DRAMBytes: 8 * units.GiB, SwapBytes: 4 * units.GiB, CPUFactor: 0.65, DRAMBandwidth: 17e9, Weight: 1},
+		{Name: "high", DRAMBytes: 6 * units.GiB, SwapBytes: 3 * units.GiB, CPUFactor: 0.8, Weight: 2},
+		{Name: "flagship", DRAMBytes: 8 * units.GiB, SwapBytes: 4 * units.GiB, CPUFactor: 0.65, Weight: 1},
 		{Name: "zram", DRAMBytes: 4 * units.GiB, SwapBytes: 2 * units.GiB, CPUFactor: 1.0, Backend: "zram", Weight: 1},
 	}
 }
@@ -394,7 +390,6 @@ func TierDevice(t Tier, scale int64) android.DeviceConfig {
 		prof := vmem.ZramDeviceProfile()
 		prof.ReadBandwidth /= fscale
 		prof.WriteBandwidth /= fscale
-		prof.DRAMBandwidth = t.DRAMBandwidth
 		backing := vmem.UFSFlashProfile()
 		backing.ReadBandwidth /= fscale
 		backing.WriteBandwidth /= fscale
@@ -417,7 +412,6 @@ func TierDevice(t Tier, scale int64) android.DeviceConfig {
 	swap.SizeBytes = t.SwapBytes / scale
 	swap.Profile.ReadBandwidth /= fscale
 	swap.Profile.WriteBandwidth /= fscale
-	swap.Profile.DRAMBandwidth = t.DRAMBandwidth
 	return android.DeviceConfig{
 		DRAMBytes:           t.DRAMBytes / scale,
 		SystemReservedBytes: 1400 * units.MiB / scale,

@@ -8,6 +8,7 @@ import (
 
 	"fleetsim/internal/android"
 	"fleetsim/internal/apps"
+	"fleetsim/internal/core"
 )
 
 // goldenCell is the pinned outcome of one policy × backend session: the
@@ -68,11 +69,7 @@ func goldenSession(policy android.PolicyKind, backend string) *android.System {
 		procs[i] = sys.Launch(pr)
 		sys.Use(3 * time.Second)
 	}
-	idle := cfg.BgGCPeriod
-	if w := cfg.Fleet.BackgroundWait; w > idle {
-		idle = w
-	}
-	sys.Idle(idle + 5*time.Second)
+	sys.Idle(max(cfg.BgGCPeriod, core.BackgroundWait) + 5*time.Second)
 	for _, p := range procs {
 		sys.SwitchTo(p)
 		sys.Use(3 * time.Second)

@@ -173,7 +173,6 @@ func TestRefaultDetection(t *testing.T) {
 	m, as := rig(32, 32)
 	now := time.Duration(0)
 	m.Now = func() time.Duration { return now }
-	m.RefaultWindow = 60 * time.Second
 	base := as.Reserve(4 * units.PageSize)
 	m.TouchRange(as, base, 4*units.PageSize, true)
 
@@ -190,7 +189,7 @@ func TestRefaultDetection(t *testing.T) {
 
 	// Swap out, fault back after the window: not a refault.
 	m.AdviseCold(as, base, units.PageSize)
-	now = 10*time.Second + 61*time.Second + 10*time.Second
+	now = 10*time.Second + refaultWindow + 10*time.Second
 	m.TouchRange(as, base, 1, false)
 	if m.Stats().Refaults != 1 {
 		t.Errorf("late fault counted as refault: %d", m.Stats().Refaults)

@@ -26,7 +26,7 @@ type Stats struct {
 	// waiting on swap-in IO.
 	FaultStall time.Duration
 	// Refaults counts swap-ins of pages that had been swapped out less
-	// than RefaultWindow earlier — Linux's working-set refault signal,
+	// than refaultWindow earlier — Linux's working-set refault signal,
 	// the definition of thrashing.
 	Refaults int64
 	// RefaultStall is the portion of FaultStall spent on refaults.
@@ -78,12 +78,6 @@ type Manager struct {
 	// Now supplies virtual time for refault detection; nil means time
 	// stands still (refaults are then never detected).
 	Now func() time.Duration
-	// RefaultWindow is how recently a page must have been swapped out for
-	// its swap-in to count as a refault.
-	RefaultWindow time.Duration
-	// RefaultByOwner, when non-nil, tallies refaults per address-space
-	// owner (debugging/analysis aid).
-	RefaultByOwner map[string]int64
 
 	// MaxOfflineWait bounds how long a faulting thread retries against an
 	// offline swap device before giving up with ErrSwapOffline. 0 means
@@ -105,9 +99,12 @@ func NewManager(phys *mem.Physical, swap SwapBackend) *Manager {
 		m.LowWatermark = 8
 	}
 	m.HighWatermark = m.LowWatermark * 2
-	m.RefaultWindow = 120 * time.Second
 	return m
 }
+
+// refaultWindow is how recently a page must have been swapped out for its
+// swap-in to count as a refault.
+const refaultWindow = 120 * time.Second
 
 // Stats returns a copy of the lifetime counters.
 func (m *Manager) Stats() Stats { return m.stats }
@@ -235,12 +232,9 @@ func (m *Manager) touchPage(p *mem.Page, write bool) (time.Duration, error) {
 		m.stats.MajorFaults++
 		m.stats.SwapIns++
 		m.stats.FaultStall += io
-		if m.Now != nil && m.Now()-p.SwapOutAt < m.RefaultWindow {
+		if m.Now != nil && m.Now()-p.SwapOutAt < refaultWindow {
 			m.stats.Refaults++
 			m.stats.RefaultStall += io
-			if m.RefaultByOwner != nil {
-				m.RefaultByOwner[p.Space.Owner]++
-			}
 		}
 		stall += io
 	}
@@ -553,10 +547,8 @@ func (m *Manager) LRUSizes() (active, inactive int64) {
 }
 
 // DRAMCost returns the CPU-side cost of streaming n bytes from DRAM at the
-// paper's default bandwidth; the heap layer charges this for object copies
-// during GC evacuation (its visit-cost table is memoised at init, which is
-// why this helper stays on the package-level default — per-tier DRAM speed
-// lives in DeviceProfile.DRAMBandwidth).
+// paper's measured bandwidth; the heap layer charges this for object copies
+// during GC evacuation.
 func DRAMCost(n int64) time.Duration {
 	return units.TransferTime(n, DefaultDRAMBandwidth)
 }

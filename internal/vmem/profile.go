@@ -7,17 +7,15 @@ import (
 )
 
 // DefaultDRAMBandwidth is the paper's measured DRAM streaming rate
-// (9182.7 MB/s, §3.2). DeviceProfile carries it per device; package-level
-// cost helpers (DRAMCost, the gc layer's memoised visit table) use this
-// default so their precomputed tables stay valid.
+// (9182.7 MB/s, §3.2); DRAMCost and the gc layer's memoised visit table
+// charge memory traffic at it on every device.
 const DefaultDRAMBandwidth = 9182.7e6
 
 // DeviceProfile is the shared performance envelope of one storage/memory
-// device: sustained read/write throughput, fixed per-op overhead, the
-// sequential-read speedup, and the DRAM bandwidth of the silicon it sits
-// next to. It unifies the bandwidth/latency fields that used to be
-// duplicated between SwapDevice and SwapDeviceConfig, and replaces the
-// scattered 20.3e6-style literals with named presets.
+// device: sustained read/write throughput, fixed per-op overhead and the
+// sequential-read speedup. It unifies the bandwidth/latency fields that
+// used to be duplicated between SwapDevice and SwapDeviceConfig, and
+// replaces the scattered 20.3e6-style literals with named presets.
 type DeviceProfile struct {
 	// ReadBandwidth / WriteBandwidth are sustained throughputs in bytes/s.
 	ReadBandwidth  float64
@@ -30,10 +28,6 @@ type DeviceProfile struct {
 	// the random-read ReadBandwidth (flash readahead); prefetchers exploit
 	// it. <= 1 means no benefit.
 	SeqReadFactor float64
-	// DRAMBandwidth is the device's DRAM streaming rate in bytes/s; the
-	// CPU-side cost of object copies and (de)compression scales with it.
-	// 0 defaults to DefaultDRAMBandwidth.
-	DRAMBandwidth float64
 }
 
 // UFSFlashProfile is the paper's Pixel 3 flash swap partition: 20.3 MB/s
@@ -45,7 +39,6 @@ func UFSFlashProfile() DeviceProfile {
 		WriteBandwidth: 60e6,
 		OpLatency:      80 * time.Microsecond,
 		SeqReadFactor:  8,
-		DRAMBandwidth:  DefaultDRAMBandwidth,
 	}
 }
 
@@ -58,18 +51,14 @@ func ZramDeviceProfile() DeviceProfile {
 		WriteBandwidth: 0.8e9, // LZ4 compress
 		OpLatency:      4 * time.Microsecond,
 		SeqReadFactor:  1,
-		DRAMBandwidth:  DefaultDRAMBandwidth,
 	}
 }
 
-// normalized returns the profile with zero fields replaced by their
-// defaults (flash readahead, the paper's DRAM bandwidth).
+// normalized returns the profile with a zero SeqReadFactor replaced by
+// the flash readahead default.
 func (pr DeviceProfile) normalized() DeviceProfile {
 	if pr.SeqReadFactor <= 0 {
 		pr.SeqReadFactor = 8
-	}
-	if pr.DRAMBandwidth <= 0 {
-		pr.DRAMBandwidth = DefaultDRAMBandwidth
 	}
 	return pr
 }

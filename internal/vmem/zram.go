@@ -20,11 +20,13 @@ type ZramConfig struct {
 	// BackingProfile is the backing partition's performance envelope; the
 	// zero value means UFSFlashProfile.
 	BackingProfile DeviceProfile
-	// IncompressibleFrac: pages whose modeled compressed size exceeds this
-	// fraction of a page are not worth compressing and fall through to the
-	// backing device (Ariadne's size-adaptive store selection). 0 → 0.75.
-	IncompressibleFrac float64
 }
+
+// incompressibleBytes: pages whose modeled compressed size exceeds this
+// (three quarters of a page, 3072 bytes) are not worth compressing and
+// fall through to the backing device (Ariadne's size-adaptive store
+// selection).
+const incompressibleBytes = 3 * units.PageSize / 4
 
 // zkey identifies a stored page across re-stores: the same virtual page
 // always compresses to the same size, which is what makes the backend
@@ -59,8 +61,6 @@ type Zram struct {
 	poolUsed     int64
 	reservedPool int64 // pages held by an injected zram-full fault
 
-	incompressibleBytes int64
-
 	entries map[zkey]*zentry
 	queue   []*zentry // writeback clock, store order
 	qhead   int
@@ -79,19 +79,15 @@ func NewZram(cfg SwapDeviceConfig, seed uint64) *Zram {
 	if zc.PoolBytes <= 0 {
 		zc.PoolBytes = cfg.SizeBytes / 4
 	}
-	if zc.IncompressibleFrac <= 0 {
-		zc.IncompressibleFrac = 0.75
-	}
 	prof := cfg.Profile
 	if prof == (DeviceProfile{}) {
 		prof = ZramDeviceProfile()
 	}
 	z := &Zram{
-		profile:             prof.normalized(),
-		seed:                seed,
-		poolBytes:           zc.PoolBytes,
-		incompressibleBytes: int64(zc.IncompressibleFrac * float64(units.PageSize)),
-		entries:             make(map[zkey]*zentry),
+		profile:   prof.normalized(),
+		seed:      seed,
+		poolBytes: zc.PoolBytes,
+		entries:   make(map[zkey]*zentry),
 	}
 	if zc.BackingBytes > 0 {
 		bp := zc.BackingProfile
@@ -322,7 +318,7 @@ func (z *Zram) WritePage(p *mem.Page) (time.Duration, error) {
 		return 0, ErrSwapOffline
 	}
 	csize := z.csizeOf(p)
-	if csize > z.incompressibleBytes {
+	if csize > incompressibleBytes {
 		// Size-adaptive selection: not worth the CPU, go straight to flash.
 		// (Compressing it is still better than failing if flash is full.)
 		if dur, err := z.storeInFlash(p); err == nil {
