@@ -2,6 +2,8 @@ package apps
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"fleetsim/internal/heap"
@@ -120,6 +122,11 @@ func (a *App) alloc(size int32, epoch heap.Epoch, now time.Duration) (heap.Objec
 // time) and the first memory fault hit, if any (the caller decides whether
 // the process survives).
 func (a *App) BuildInitial(now time.Duration) (time.Duration, error) {
+	// Size the heap's tables and the chain list for the whole build.
+	objects, edges, chains := buildReserve(&a.Profile)
+	a.H.Grow(objects, edges)
+	a.chains = slices.Grow(a.chains, chains)
+
 	var stall time.Duration
 	r, s := a.alloc(64, heap.EpochForeground, now)
 	a.root = r
@@ -175,6 +182,27 @@ func (a *App) BuildInitial(now time.Duration) (time.Duration, error) {
 	return stall, a.takeErr()
 }
 
+// buildReserve returns how many objects, edge-arena slots and chains
+// BuildInitial reserves before it builds p's heap, so the build fills its
+// tables in place instead of doubling them from one entry. A build that
+// outgrows a reservation still completes: that table falls back to append
+// and is copied once more.
+//
+// The object count is the bare estimate n = JavaHeapBytes/Sizes.Mean()
+// plus a margin of 4√n + 64. The count needed to fill a byte budget
+// drifts with the sizes drawn, by a standard deviation of about 1.5√n for
+// the commercial distribution, so the margin grows with √n rather than n.
+// Across 540 builds (the 18 commercial profiles at scales 8, 32 and 128,
+// seeds 1–10) a build created 0.951–1.092× the bare estimate, using at
+// most 71% of the margin, with at most 2.14 edge-arena slots and 0.27
+// chains per object; the 9/4 and 1/3 ratios cover those.
+// TestBuildReserveCoversBuild pins all three.
+func buildReserve(p *Profile) (objects, edges, chains int) {
+	n := float64(p.JavaHeapBytes) / p.Sizes.Mean()
+	objects = int(n + 4*math.Sqrt(n) + 64)
+	return objects, objects * 9 / 4, objects / 3
+}
+
 // growChain adds one new chain of deep objects under a random view,
 // returning the fault stall and the bytes allocated.
 func (a *App) growChain(now time.Duration, epoch heap.Epoch) (time.Duration, int64) {
@@ -182,7 +210,7 @@ func (a *App) growChain(now time.Duration, epoch heap.Epoch) (time.Duration, int
 	var bytes int64
 	view := a.views[a.R.Intn(len(a.views))]
 	length := 1 + a.R.Intn(6)
-	c := chain{view: view, slot: a.nextSlot(view)}
+	c := chain{view: view, slot: a.nextSlot(view), ids: make([]heap.ObjectID, 0, length)}
 	parent := view
 	for i := 0; i < length; i++ {
 		size := a.Sizes.Sample(a.R)

@@ -133,6 +133,47 @@ func TestBuildInitialReachesSteadyState(t *testing.T) {
 	}
 }
 
+func TestSizeDistMean(t *testing.T) {
+	if got := FixedSize(512).Mean(); got != 512 {
+		t.Errorf("FixedSize(512).Mean() = %v", got)
+	}
+	// exp(3.9 + 1.1²/2): the unclamped lognormal mean.
+	if got := DefaultCommercialSizes().Mean(); got < 90.4 || got > 90.6 {
+		t.Errorf("commercial mean = %v, want ≈ 90.5", got)
+	}
+}
+
+// TestBuildReserveCoversBuild checks that BuildInitial reserves enough:
+// the build creates no more objects, edge-arena slots or chains than
+// buildReserve asked for, for every commercial profile at scales 8, 32
+// and 128 and for the fixed-size synthetic apps, each on seeds 1–10. The
+// bare estimate JavaHeapBytes/Mean() falls short on 156 of the 540
+// commercial builds, so this test pins the margin.
+func TestBuildReserveCoversBuild(t *testing.T) {
+	var profiles []Profile
+	for _, scale := range []int64{8, 32, 128} {
+		profiles = append(profiles, CommercialProfiles(scale)...)
+		for _, size := range []int32{512, 2048} {
+			profiles = append(profiles, SyntheticProfile("synthetic", size, 180*units.MiB/scale))
+		}
+	}
+	for _, p := range profiles {
+		objects, edges, chains := buildReserve(&p)
+		for seed := uint64(1); seed <= 10; seed++ {
+			a := NewApp(p, xrand.New(seed), newVM())
+			if _, err := a.BuildInitial(0); err != nil {
+				t.Fatalf("%s (%d B heap) seed %d: %v", p.Name, p.JavaHeapBytes, seed, err)
+			}
+			gotObjects := a.H.ObjectTableSize() - 1 // slot 0 is NilObject
+			gotEdges := len(a.H.SoAView().Edges)
+			if gotObjects > objects || gotEdges > edges || len(a.chains) > chains {
+				t.Errorf("%s (%d B heap) seed %d: built %d objects, %d edge slots, %d chains; reserved %d, %d, %d",
+					p.Name, p.JavaHeapBytes, seed, gotObjects, gotEdges, len(a.chains), objects, edges, chains)
+			}
+		}
+	}
+}
+
 func TestForegroundTickKeepsDataSteady(t *testing.T) {
 	p := twitter()
 	a := buildApp(t, p)

@@ -9,6 +9,7 @@
 package apps
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -19,6 +20,9 @@ import (
 // SizeDist samples object sizes in bytes.
 type SizeDist interface {
 	Sample(r *xrand.Rand) int32
+	// Mean is the mean size in bytes, before any clamping; BuildInitial
+	// estimates its object count from it.
+	Mean() float64
 }
 
 // FixedSize always returns the same size — the Marvin project's manually
@@ -27,6 +31,9 @@ type FixedSize int32
 
 // Sample implements SizeDist.
 func (f FixedSize) Sample(*xrand.Rand) int32 { return int32(f) }
+
+// Mean implements SizeDist.
+func (f FixedSize) Mean() float64 { return float64(f) }
 
 // LogNormalSize matches the commercial object-size CDF of Fig. 7: most
 // objects are tens of bytes, almost all fall below the 4 KB page size, with
@@ -47,6 +54,10 @@ func (l LogNormalSize) Sample(r *xrand.Rand) int32 {
 	}
 	return s
 }
+
+// Mean implements SizeDist: the unclamped lognormal mean
+// exp(Mu + Sigma²/2), 90.5 B for the commercial distribution.
+func (l LogNormalSize) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
 
 // DefaultCommercialSizes is the Fig. 7-calibrated distribution: median
 // ≈ 48 B, ~99% below one page.

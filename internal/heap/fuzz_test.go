@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -69,62 +70,114 @@ func heapInvariants(t *testing.T, h *Heap) {
 
 // TestHeapRandomOps drives a random mix of allocations, reference edits,
 // accesses, chain drops and collections, asserting invariants throughout.
+// Each seed also runs with Grow called up front and mid-run, and must end
+// in exactly the un-grown run's state: reserved capacity is unobservable.
 func TestHeapRandomOps(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
-		r := xrand.New(seed)
-		phys := mem.NewPhysical(128 * units.MiB)
-		vm := vmem.NewManager(phys, vmem.NewSwapDevice(vmem.DefaultSwapConfig()))
-		h := New(mem.NewAddressSpace("fuzz"), vm)
+		want := runRandomOps(t, seed, -1)
+		sameHeap(t, want, runRandomOps(t, seed, 0))
+		sameHeap(t, want, runRandomOps(t, seed, 1500))
+	}
+}
 
-		root, _, _ := h.Alloc(64, EpochForeground, 0)
-		h.AddRoot(root)
-		live := []ObjectID{root}
+// growOps is how much a grown run reserves at its growth step. It covers
+// every object either workload creates, but the edge cross-check's arena
+// outgrows it, so those runs also grow past their reservation.
+const growOps = 4096
 
-		now := time.Duration(0)
-		for step := 0; step < 3000; step++ {
-			now += time.Millisecond
-			switch op := r.Intn(10); {
-			case op < 5: // allocate, usually attached
-				id, _, _ := h.Alloc(int32(16+r.Intn(2000)), Epoch(r.Intn(2)), now)
-				if r.Bool(0.8) {
-					h.AddRef(live[r.Intn(len(live))], id, now)
-					live = append(live, id)
-				}
-			case op < 7: // access something
-				id := live[r.Intn(len(live))]
+// runRandomOps runs TestHeapRandomOps' workload for one seed, calling
+// Grow(growOps, growOps) before step growAt (never when growAt < 0), and
+// returns the heap.
+func runRandomOps(t *testing.T, seed uint64, growAt int) *Heap {
+	r := xrand.New(seed)
+	phys := mem.NewPhysical(128 * units.MiB)
+	vm := vmem.NewManager(phys, vmem.NewSwapDevice(vmem.DefaultSwapConfig()))
+	h := New(mem.NewAddressSpace("fuzz"), vm)
+	if growAt == 0 {
+		h.Grow(growOps, growOps)
+	}
+
+	root, _, _ := h.Alloc(64, EpochForeground, 0)
+	h.AddRoot(root)
+	live := []ObjectID{root}
+
+	now := time.Duration(0)
+	for step := 0; step < 3000; step++ {
+		if step > 0 && step == growAt {
+			h.Grow(growOps, growOps)
+		}
+		now += time.Millisecond
+		switch op := r.Intn(10); {
+		case op < 5: // allocate, usually attached
+			id, _, _ := h.Alloc(int32(16+r.Intn(2000)), Epoch(r.Intn(2)), now)
+			if r.Bool(0.8) {
+				h.AddRef(live[r.Intn(len(live))], id, now)
+				live = append(live, id)
+			}
+		case op < 7: // access something
+			id := live[r.Intn(len(live))]
+			if h.Object(id).Live() {
+				h.Access(id, r.Bool(0.3), now)
+			}
+		case op == 7: // rewire a reference
+			from := live[r.Intn(len(live))]
+			to := live[r.Intn(len(live))]
+			if h.Object(from).Live() && h.Object(to).Live() {
+				h.SetRef(from, r.Intn(4), to, now)
+			}
+		case op == 8: // cut refs (make garbage)
+			id := live[r.Intn(len(live))]
+			if h.Object(id).Live() && id != root {
+				h.ClearRefs(id, now)
+			}
+		case op == 9 && step%100 == 99: // collect via the test-local GC
+			collectForFuzz(h, now)
+			// Compact the tracking list to objects still live.
+			kept := live[:0]
+			for _, id := range live {
 				if h.Object(id).Live() {
-					h.Access(id, r.Bool(0.3), now)
-				}
-			case op == 7: // rewire a reference
-				from := live[r.Intn(len(live))]
-				to := live[r.Intn(len(live))]
-				if h.Object(from).Live() && h.Object(to).Live() {
-					h.SetRef(from, r.Intn(4), to, now)
-				}
-			case op == 8: // cut refs (make garbage)
-				id := live[r.Intn(len(live))]
-				if h.Object(id).Live() && id != root {
-					h.ClearRefs(id, now)
-				}
-			case op == 9 && step%100 == 99: // collect via the test-local GC
-				collectForFuzz(h, now)
-				// Compact the tracking list to objects still live.
-				kept := live[:0]
-				for _, id := range live {
-					if h.Object(id).Live() {
-						kept = append(kept, id)
-					}
-				}
-				live = kept
-				if len(live) == 0 {
-					live = []ObjectID{root}
+					kept = append(kept, id)
 				}
 			}
-			if step%500 == 499 {
-				heapInvariants(t, h)
+			live = kept
+			if len(live) == 0 {
+				live = []ObjectID{root}
 			}
 		}
-		heapInvariants(t, h)
+		if step%500 == 499 {
+			heapInvariants(t, h)
+		}
+	}
+	heapInvariants(t, h)
+	return h
+}
+
+// sameHeap fails the test unless got holds exactly want's state: every
+// object record, every slot's Refs view and arena span, the edge arena
+// itself, the root list, the mark/size words, the mark generation and
+// Stats. Capacity is the only thing allowed to differ.
+func sameHeap(t *testing.T, want, got *Heap) {
+	t.Helper()
+	if !slices.Equal(want.objects, got.objects) {
+		t.Fatal("object records differ")
+	}
+	for id := range want.objects {
+		if !slices.Equal(want.Refs(ObjectID(id)), got.Refs(ObjectID(id))) {
+			t.Fatalf("Refs(%d) differ: %v vs %v", id, want.Refs(ObjectID(id)), got.Refs(ObjectID(id)))
+		}
+	}
+	if !slices.Equal(want.espan, got.espan) || !slices.Equal(want.ecap, got.ecap) ||
+		!slices.Equal(want.edges, got.edges) || want.edgeWaste != got.edgeWaste {
+		t.Fatal("edge arenas differ")
+	}
+	if !slices.Equal(want.Roots(), got.Roots()) {
+		t.Fatalf("roots differ: %v vs %v", want.Roots(), got.Roots())
+	}
+	if !slices.Equal(want.msize, got.msize) || want.markGen != got.markGen {
+		t.Fatal("mark/size words differ")
+	}
+	if want.Stats() != got.Stats() {
+		t.Fatalf("stats differ: %+v vs %+v", want.Stats(), got.Stats())
 	}
 }
 
@@ -182,15 +235,23 @@ func collectForFuzz(h *Heap, now time.Duration) {
 // arena's backing array moves.
 func TestEdgeArenaCrossCheck(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
-		runEdgeCrossCheck(t, seed)
+		want := runEdgeCrossCheck(t, seed, -1)
+		sameHeap(t, want, runEdgeCrossCheck(t, seed, 0))
+		sameHeap(t, want, runEdgeCrossCheck(t, seed, 2000))
 	}
 }
 
-func runEdgeCrossCheck(t *testing.T, seed uint64) {
+// runEdgeCrossCheck runs TestEdgeArenaCrossCheck's workload for one seed,
+// calling Grow(growOps, growOps) before step growAt (never when
+// growAt < 0), and returns the heap.
+func runEdgeCrossCheck(t *testing.T, seed uint64, growAt int) *Heap {
 	r := xrand.New(seed)
 	phys := mem.NewPhysical(128 * units.MiB)
 	vm := vmem.NewManager(phys, vmem.NewSwapDevice(vmem.DefaultSwapConfig()))
 	h := New(mem.NewAddressSpace("edges"), vm)
+	if growAt == 0 {
+		h.Grow(growOps, growOps)
+	}
 
 	model := map[ObjectID][]ObjectID{}
 	root, _, _ := h.Alloc(64, EpochForeground, 0)
@@ -221,6 +282,9 @@ func runEdgeCrossCheck(t *testing.T, seed uint64) {
 
 	now := time.Duration(0)
 	for step := 0; step < 4000; step++ {
+		if step > 0 && step == growAt {
+			h.Grow(growOps, growOps)
+		}
 		now += time.Millisecond
 		switch op := r.Intn(12); {
 		case op < 3: // allocate, usually attached (fresh tenant: empty span)
@@ -277,4 +341,5 @@ func runEdgeCrossCheck(t *testing.T, seed uint64) {
 	}
 	verify(-1)
 	heapInvariants(t, h)
+	return h
 }

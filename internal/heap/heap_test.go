@@ -425,3 +425,45 @@ func TestLastAccessUpdated(t *testing.T) {
 		t.Errorf("LastAccess = %v", h.Object(a).LastAccess)
 	}
 }
+
+// TestGrowKeepsTablesInPlace checks Grow's contract: it changes no
+// length, and after Grow(n, e) the next n allocations and e edge-arena
+// slots extend every table without moving its backing array.
+func TestGrowKeepsTablesInPlace(t *testing.T) {
+	const n = 1000
+	h := newTestHeap()
+	prev, _, _ := h.Alloc(64, EpochForeground, 0)
+	h.AddRoot(prev)
+	objects, edges := len(h.objects), len(h.edges)
+
+	h.Grow(n, 2*n)
+	if len(h.objects) != objects || len(h.msize) != objects || len(h.espan) != objects ||
+		len(h.ecap) != objects || len(h.edges) != edges {
+		t.Fatal("Grow changed a table's length")
+	}
+	arrays := func() [5]uintptr {
+		return [5]uintptr{
+			uintptr(unsafe.Pointer(unsafe.SliceData(h.objects))),
+			uintptr(unsafe.Pointer(unsafe.SliceData(h.msize))),
+			uintptr(unsafe.Pointer(unsafe.SliceData(h.espan))),
+			uintptr(unsafe.Pointer(unsafe.SliceData(h.ecap))),
+			uintptr(unsafe.Pointer(unsafe.SliceData(h.edges))),
+		}
+	}
+	before := arrays()
+
+	// A chain: each link gives its parent a fresh two-slot span, so n
+	// links take exactly n objects and 2n arena slots.
+	for i := 0; i < n; i++ {
+		id, _, _ := h.Alloc(64, EpochForeground, 0)
+		h.AddRef(prev, id, 0)
+		prev = id
+	}
+	if len(h.objects) != objects+n || len(h.edges) != edges+2*n {
+		t.Fatalf("chain used %d objects and %d edge slots, want %d and %d",
+			len(h.objects)-objects, len(h.edges)-edges, n, 2*n)
+	}
+	if after := arrays(); after != before {
+		t.Errorf("a table moved within its reservation: %x -> %x", before, after)
+	}
+}

@@ -1,5 +1,7 @@
 package heap
 
+import "slices"
+
 // This file holds the struct-of-arrays side of the heap: the dense
 // per-object mark/size table and the CSR edge arena that holds every
 // object's outgoing references. The layout exists for the GC trace hot
@@ -81,6 +83,26 @@ func (h *Heap) growSoA() {
 	h.msize = append(h.msize, 0)
 	h.espan = append(h.espan, 0)
 	h.ecap = append(h.ecap, 0)
+}
+
+// Grow reserves room for objects more object-table entries and edges more
+// edge-arena slots: the next objects fresh ObjectIDs and edges arena slots
+// then extend their tables in place instead of regrowing them one append
+// at a time. A table short of the room moves once into a freshly made
+// array; no length, ObjectID, span or other value a caller can read
+// changes. Like any allocation, it invalidates Refs views and SoA views.
+//
+// Capacity stays unobservable because the new arrays come from the
+// runtime zeroed: growSoA's reslice path exposes dense-table entries past
+// len without storing to them, so an entry left over from earlier use
+// would hand a new object a stale span. Never hand these tables reused
+// memory.
+func (h *Heap) Grow(objects, edges int) {
+	h.objects = slices.Grow(h.objects, objects)
+	h.msize = slices.Grow(h.msize, objects)
+	h.espan = slices.Grow(h.espan, objects)
+	h.ecap = slices.Grow(h.ecap, objects)
+	h.edges = slices.Grow(h.edges, edges)
 }
 
 // Refs returns id's outgoing references as a read-only view of its span

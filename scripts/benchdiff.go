@@ -8,13 +8,16 @@
 //	go run ./scripts [flags] OLD.json NEW.json
 //
 //	-gate regex        also gate: exit 1 if any benchmark matching regex
-//	                   regressed in ns/op by more than -max-regress
+//	                   regressed in ns/op by more than -max-regress, or
+//	                   is missing from either stream
 //	-max-regress pct   regression threshold in percent (default 25)
 //
-// The gate is how CI enforces the trace hot path's budget: the checked-in
-// BENCH_3.json is the baseline, the freshly measured stream is the
+// The gate is how CI enforces the hot paths' budgets: the checked-in
+// BENCH_5.json is the baseline, the freshly measured stream is the
 // candidate, and a >threshold ns/op regression on the gated benchmarks
-// fails the build. Absolute times differ across machines, so the threshold
+// fails the build. A gated benchmark found in only one stream fails it
+// too, so a renamed, deleted or crashed benchmark cannot drop out of the
+// gate unnoticed. Absolute times differ across machines, so the threshold
 // is deliberately loose — it catches algorithmic regressions, not noise.
 package main
 
@@ -23,6 +26,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -121,8 +125,70 @@ func pct(old, new float64) string {
 	return fmt.Sprintf("%+.1f%%", 100*(new-old)/old)
 }
 
+// report prints the delta table for every benchmark in either stream to w
+// and returns one line per gated benchmark that fails the gate: gated
+// names are those gateRe matches (none when gateRe is nil); a gated
+// benchmark fails when it is missing from either stream or its ns/op
+// regressed by more than maxRegress percent.
+func report(w io.Writer, oldM, newM map[string]*metrics, gateRe *regexp.Regexp, maxRegress float64) (failures []string) {
+	names := map[string]bool{}
+	for n := range oldM {
+		names[n] = true
+	}
+	for n := range newM {
+		names[n] = true
+	}
+	sorted := make([]string, 0, len(names))
+	for n := range names {
+		sorted = append(sorted, n)
+	}
+	sort.Strings(sorted)
+
+	fmt.Fprintf(w, "%-44s %14s %14s %8s %10s %10s\n",
+		"benchmark", "old ns/op", "new ns/op", "delta", "B/op", "allocs/op")
+	for _, n := range sorted {
+		o, hasOld := oldM[n]
+		nw, hasNew := newM[n]
+		gated := gateRe != nil && gateRe.MatchString(n)
+		switch {
+		case !hasOld:
+			mark := ""
+			if gated {
+				mark = "  << MISSING"
+				failures = append(failures, n+": gated but missing from the old stream")
+			}
+			fmt.Fprintf(w, "%-44s %14s %14.0f %8s%s\n", n, "-", nw.nsOp, "new", mark)
+		case !hasNew:
+			mark := ""
+			if gated {
+				mark = "  << MISSING"
+				failures = append(failures, n+": gated but missing from the new stream")
+			}
+			fmt.Fprintf(w, "%-44s %14.0f %14s %8s%s\n", n, o.nsOp, "-", "gone", mark)
+		default:
+			mem := ""
+			if nw.hasMem {
+				mem = fmt.Sprintf(" %10s %10s", pct(o.bOp, nw.bOp), pct(o.allocsOp, nw.allocsOp))
+			}
+			mark := ""
+			if gated {
+				if o.nsOp > 0 && 100*(nw.nsOp-o.nsOp)/o.nsOp > maxRegress {
+					mark = "  << REGRESSION"
+					failures = append(failures, fmt.Sprintf("%s: ns/op regressed %s, more than %.0f%%",
+						n, pct(o.nsOp, nw.nsOp), maxRegress))
+				} else {
+					mark = "  (gated)"
+				}
+			}
+			fmt.Fprintf(w, "%-44s %14.0f %14.0f %8s%s%s\n",
+				n, o.nsOp, nw.nsOp, pct(o.nsOp, nw.nsOp), mem, mark)
+		}
+	}
+	return failures
+}
+
 func main() {
-	gate := flag.String("gate", "", "regex of benchmarks to gate on ns/op regression")
+	gate := flag.String("gate", "", "regex of benchmarks to gate on ns/op regression and presence in both streams")
 	maxRegress := flag.Float64("max-regress", 25, "gated ns/op regression threshold, percent")
 	flag.Parse()
 	if flag.NArg() != 2 {
@@ -139,20 +205,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
 	}
-
-	names := map[string]bool{}
-	for n := range oldM {
-		names[n] = true
-	}
-	for n := range newM {
-		names[n] = true
-	}
-	sorted := make([]string, 0, len(names))
-	for n := range names {
-		sorted = append(sorted, n)
-	}
-	sort.Strings(sorted)
-
 	var gateRe *regexp.Regexp
 	if *gate != "" {
 		gateRe, err = regexp.Compile(*gate)
@@ -161,38 +213,11 @@ func main() {
 			os.Exit(2)
 		}
 	}
-
-	fmt.Printf("%-44s %14s %14s %8s %10s %10s\n",
-		"benchmark", "old ns/op", "new ns/op", "delta", "B/op", "allocs/op")
-	failed := false
-	for _, n := range sorted {
-		o, hasOld := oldM[n]
-		nw, hasNew := newM[n]
-		switch {
-		case !hasOld:
-			fmt.Printf("%-44s %14s %14.0f %8s\n", n, "-", nw.nsOp, "new")
-		case !hasNew:
-			fmt.Printf("%-44s %14.0f %14s %8s\n", n, o.nsOp, "-", "gone")
-		default:
-			mem := ""
-			if nw.hasMem {
-				mem = fmt.Sprintf(" %10s %10s", pct(o.bOp, nw.bOp), pct(o.allocsOp, nw.allocsOp))
-			}
-			gated := ""
-			if gateRe != nil && gateRe.MatchString(n) {
-				if o.nsOp > 0 && 100*(nw.nsOp-o.nsOp)/o.nsOp > *maxRegress {
-					gated = "  << REGRESSION"
-					failed = true
-				} else {
-					gated = "  (gated)"
-				}
-			}
-			fmt.Printf("%-44s %14.0f %14.0f %8s%s%s\n",
-				n, o.nsOp, nw.nsOp, pct(o.nsOp, nw.nsOp), mem, gated)
-		}
+	failures := report(os.Stdout, oldM, newM, gateRe, *maxRegress)
+	for _, f := range failures {
+		fmt.Fprintln(os.Stderr, "benchdiff:", f)
 	}
-	if failed {
-		fmt.Fprintf(os.Stderr, "benchdiff: gated benchmark regressed more than %.0f%% in ns/op\n", *maxRegress)
+	if len(failures) > 0 {
 		os.Exit(1)
 	}
 }
