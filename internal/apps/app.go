@@ -55,8 +55,6 @@ type App struct {
 	bgContainer heap.ObjectID
 	bgWS        []heap.ObjectID
 
-	viewSlots map[heap.ObjectID]int // next free ref slot per view
-
 	// dataBytes tracks the bytes of *reachable* workload data (structure +
 	// chains). heap.LiveBytes() also counts not-yet-collected garbage, so
 	// steady-state sizing must use this instead.
@@ -75,12 +73,11 @@ const recentPoolCap = 4096
 func NewApp(p Profile, r *xrand.Rand, vm *vmem.Manager) *App {
 	as := mem.NewAddressSpace(p.Name + "-heap")
 	a := &App{
-		Profile:   p,
-		R:         r,
-		H:         heap.New(as, vm),
-		VM:        vm,
-		NativeAS:  mem.NewAddressSpace(p.Name + "-native"),
-		viewSlots: make(map[heap.ObjectID]int),
+		Profile:  p,
+		R:        r,
+		H:        heap.New(as, vm),
+		VM:       vm,
+		NativeAS: mem.NewAddressSpace(p.Name + "-native"),
 	}
 	a.nativeSize = p.NativeBytes()
 	if a.nativeSize > 0 {
@@ -229,10 +226,13 @@ func (a *App) growChain(now time.Duration, epoch heap.Epoch) (time.Duration, int
 	return stall, bytes
 }
 
+// nextSlot is the view's next free reference slot. A view's references
+// are written only by growChain, which fills its slots in order through
+// SetRef(view, nextSlot(view), …), and dropChain, which nils a slot in
+// place; views are never collected. So the slot count is the view's
+// reference count.
 func (a *App) nextSlot(view heap.ObjectID) int {
-	s := a.viewSlots[view]
-	a.viewSlots[view] = s + 1
-	return s
+	return len(a.H.Refs(view))
 }
 
 // dropChain makes a random chain unreachable (garbage) and forgets it.

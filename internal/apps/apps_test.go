@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"fleetsim/internal/gc"
 	"fleetsim/internal/heap"
 	"fleetsim/internal/mem"
 	"fleetsim/internal/units"
@@ -337,5 +338,56 @@ func TestDefaultLaunchMixSumsBelowOne(t *testing.T) {
 	}
 	if fyo := m.YoungOnly + m.Both; fyo < 0.35 || fyo > 0.45 {
 		t.Errorf("FYO share = %v", fyo)
+	}
+}
+
+// TestChainSlotsMatchViewRefs drives foreground sessions, background
+// spells and collections, and after each requires every live chain's
+// (view, slot) to be unique and the view's reference in that slot to be
+// the chain's head. nextSlot derives a view's next slot from its
+// reference count, so a write that shrank a view's references or
+// overwrote a chain's slot would silently hand two chains one slot; this
+// catches it.
+func TestChainSlotsMatchViewRefs(t *testing.T) {
+	a := buildApp(t, twitter())
+	now := time.Duration(0)
+	check := func(phase string) {
+		t.Helper()
+		type slotKey struct {
+			view heap.ObjectID
+			slot int
+		}
+		seen := make(map[slotKey]bool, len(a.chains))
+		for _, c := range a.chains {
+			k := slotKey{c.view, c.slot}
+			if seen[k] {
+				t.Fatalf("%s at %v: two chains share view %d slot %d", phase, now, c.view, c.slot)
+			}
+			seen[k] = true
+			refs := a.H.Refs(c.view)
+			if c.slot >= len(refs) || refs[c.slot] != c.ids[0] {
+				t.Fatalf("%s at %v: view %d slot %d does not hold chain head %d (refs %v)",
+					phase, now, c.view, c.slot, c.ids[0], refs)
+			}
+		}
+	}
+	check("build")
+	const tick = 100 * time.Millisecond
+	for session := 0; session < 6; session++ {
+		for i := 0; i < 40; i++ {
+			a.ForegroundTick(now, tick)
+			now += tick
+		}
+		check("foreground")
+		gc.Major(a.H, nil, now)
+		check("major")
+		a.EnterBackground(now)
+		for i := 0; i < 20; i++ {
+			a.BackgroundTick(now, time.Second)
+			now += time.Second
+		}
+		check("background")
+		a.LaunchAllocBurst(now)
+		check("launch burst")
 	}
 }

@@ -35,11 +35,14 @@ func benchHeap(nRoots, chainLen int) *heap.Heap {
 	return h
 }
 
+// neverTouch is Marvin's ShouldTouch when every object is bookmarked: the
+// trace walks stubs and touches no page.
+func neverTouch(heap.ObjectID) bool { return false }
+
 // BenchmarkTraceHotPath measures one full mark pass over a ~50k-object
-// graph with page touching disabled, isolating the mark/visit/queue
-// machinery (the paper's §3.2 GC hot path). Run with -benchmem: the
-// allocs/op of this benchmark are the per-cycle allocation cost of the
-// tracing engine.
+// graph with no page touched, isolating the mark/visit/queue machinery
+// (the paper's §3.2 GC hot path). Run with -benchmem: the allocs/op of
+// this benchmark are the per-cycle allocation cost of the tracing engine.
 func BenchmarkTraceHotPath(b *testing.B) {
 	h := benchHeap(64, 800) // ~51k objects
 	b.ReportAllocs()
@@ -47,7 +50,7 @@ func BenchmarkTraceHotPath(b *testing.B) {
 	var traced int64
 	for i := 0; i < b.N; i++ {
 		h.BeginTrace()
-		st := Trace(h, h.RootSlice(), TraceOpts{NoTouch: true, Now: time.Duration(i)})
+		st := Trace(h, h.RootSlice(), TraceOpts{ShouldTouch: neverTouch, Now: time.Duration(i)})
 		traced = st.ObjectsTraced
 	}
 	b.ReportMetric(float64(traced), "objects/trace")
@@ -61,6 +64,26 @@ func BenchmarkTraceHotPathBFS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.BeginTrace()
-		Trace(h, h.RootSlice(), TraceOpts{BFS: true, NoTouch: true, Now: time.Duration(i)})
+		Trace(h, h.RootSlice(), TraceOpts{BFS: true, ShouldTouch: neverTouch, Now: time.Duration(i)})
+	}
+}
+
+// BenchmarkTraceTouchPass measures the pass Marvin's bookmarking GC
+// runs: the same graph, mapped through vmem, traced depth-first with
+// ShouldTouch set the way Marvin sets it. Every fourth object is
+// bookmarked (its stub is consulted, no page touched); the other visits
+// touch their objects' resident pages.
+func BenchmarkTraceTouchPass(b *testing.B) {
+	h := benchHeap(64, 800)
+	bookmarked := make([]bool, h.ObjectTableSize())
+	for id := range bookmarked {
+		bookmarked[id] = id%4 == 0
+	}
+	shouldTouch := func(id heap.ObjectID) bool { return !bookmarked[id] }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.BeginTrace()
+		Trace(h, h.RootSlice(), TraceOpts{ShouldTouch: shouldTouch, Now: time.Duration(i)})
 	}
 }

@@ -347,12 +347,14 @@ func TestMajorLivenessMatchesReachability(t *testing.T) {
 	}
 }
 
-// TestTraceFastMatchesReachability checks the pure-marking fast loop
-// against naive BFS reachability on random graphs with cycles, dead
-// objects, nil reference slots and nil/dead/duplicate seeds. DFS and BFS
-// must both mark exactly the reachable set and report its object count,
-// byte total and CPU; BFS must also report the deepest level.
-func TestTraceFastMatchesReachability(t *testing.T) {
+// TestTraceMatchesReachability checks Trace against naive BFS
+// reachability on random graphs with cycles, dead objects, nil reference
+// slots and nil/dead/duplicate seeds. DFS and BFS must both mark exactly
+// the reachable set, visit each reachable object once and report its
+// object count, byte total and CPU; BFS must also hand OnVisit each
+// object's shortest-path depth and report the deepest level, and DFS
+// must report depth -1.
+func TestTraceMatchesReachability(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		r := xrand.New(seed)
 		h := newTestHeap()
@@ -423,7 +425,29 @@ func TestTraceFastMatchesReachability(t *testing.T) {
 
 		for _, bfs := range []bool{false, true} {
 			h.BeginTrace()
-			st := traceFast(h, h.SoAView(), seeds, bfs)
+			visited := map[heap.ObjectID]int{}
+			st := Trace(h, seeds, TraceOpts{
+				BFS:         bfs,
+				ShouldTouch: neverTouch,
+				OnVisit: func(id heap.ObjectID, d int) {
+					if _, again := visited[id]; again {
+						t.Fatalf("seed %d bfs=%v: object %d visited twice", seed, bfs, id)
+					}
+					visited[id] = d
+				},
+			})
+			for id, d := range visited {
+				wd := depth[id]
+				if !bfs {
+					wd = -1
+				}
+				if d != wd {
+					t.Fatalf("seed %d bfs=%v: object %d visited at depth %d, want %d", seed, bfs, id, d, wd)
+				}
+			}
+			if len(visited) != len(depth) {
+				t.Fatalf("seed %d bfs=%v: visited %d objects, want %d", seed, bfs, len(visited), len(depth))
+			}
 			w := want
 			if !bfs {
 				w.MaxDepth = 0 // depth is tracked only breadth-first

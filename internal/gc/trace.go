@@ -40,14 +40,10 @@ type TraceOpts struct {
 	// OnVisit is called for every visited object with its BFS depth
 	// (-1 under DFS).
 	OnVisit func(id heap.ObjectID, depth int)
-	// NoTouch suppresses page touching for visits (used by Marvin, whose
-	// bookmarking GC walks recorded reference stubs instead of the
-	// objects themselves).
-	NoTouch bool
 	// ShouldTouch, when set, decides per object whether the visit touches
 	// its pages; returning false models a bookmarked object whose
-	// reference stub is consulted instead (Marvin, §2.2/[32]). Ignored
-	// when NoTouch is set.
+	// reference stub is consulted instead (Marvin, §2.2/[32]). Nil means
+	// touch every visited object.
 	ShouldTouch func(id heap.ObjectID) bool
 	// Now is the virtual time of the pass (for page-access bookkeeping).
 	Now time.Duration
@@ -64,207 +60,102 @@ type TraceOpts struct {
 // reentrant for a given heap (one GC thread per runtime, as on the
 // device).
 func Trace(h *heap.Heap, seeds []heap.ObjectID, opts TraceOpts) TraceStats {
+	// The loop reads the heap's struct-of-arrays view directly: a visit
+	// takes its size from the object's mark/size word and its references
+	// from the edge arena, and loads the 40-byte Object record only for
+	// the address of a range it touches. The mark/size table folds
+	// liveness in — dead slots and NilObject hold a sentinel above every
+	// generation, live unmarked slots an older one — so one load and one
+	// compare cover nil, dead and already marked. ShouldTrace is a pure
+	// predicate over heap state, so skipping it for already-marked
+	// references (which that compare does first) is unobservable.
+	//
+	// Holding the tables across the loop is safe: no callback and no
+	// TouchRange path (reclaim, the pressure killer) allocates an object
+	// or writes a reference on this heap, so neither the mark table, the
+	// span table nor the edge arena moves mid-pass.
+	const hi32 uint64 = 0xffffffff_00000000
 	v := h.SoAView()
-	if opts.ShouldTrace == nil && opts.OnVisit == nil && opts.NoTouch {
-		return traceFast(h, v, seeds, opts.BFS)
-	}
-	var st TraceStats
-	scratch := h.Scratch()
-	queue := scratch.Queue[:0]
-	// The callback-bearing loop also drives its mark checks through the
-	// dense mark/size table: one 8-byte load per examined reference (the
-	// dead sentinel folds in nil/dead, see traceFast) instead of loading
-	// the 40-byte Object record per edge. Callbacks are pure predicates
-	// over heap state, so skipping them for already-marked references
-	// (which the table check does first) is unobservable. No callback
-	// allocates, so the view stays valid.
-	const hi32 uint64 = 0xffffffff_00000000
 	ms, gen, gen64 := v.MarkSize, v.Gen, uint64(v.Gen)
-	for _, id := range seeds {
-		if id == heap.NilObject || !h.Object(id).Live() {
-			continue
-		}
-		if h.Mark(id) {
-			queue = append(queue, heap.TraceItem{ID: id, Depth: 0})
-		}
-	}
-
-	visit := func(it heap.TraceItem) {
-		o := h.Object(it.ID)
-		st.ObjectsTraced++
-		st.BytesTraced += int64(o.Size)
-		st.CPU += visitCost(o.Size)
-		if !opts.NoTouch && (opts.ShouldTouch == nil || opts.ShouldTouch(it.ID)) {
-			stall, err := h.VM.TouchRange(h.AS, o.Addr, int64(o.Size), false)
-			st.FaultStall += stall
-			if err != nil && st.Err == nil {
-				st.Err = err
-			}
-		}
-		if int(it.Depth) > st.MaxDepth {
-			st.MaxDepth = int(it.Depth)
-		}
-		if opts.OnVisit != nil {
-			opts.OnVisit(it.ID, int(it.Depth))
-		}
-		for _, ref := range h.Refs(it.ID) {
-			w := ms[uint32(ref)]
-			if uint32(w) >= gen {
-				continue // nil, dead or already marked
-			}
-			if opts.ShouldTrace != nil && !opts.ShouldTrace(ref) {
-				// Live by fiat; mark so evacuation sees it, but
-				// never touch or descend.
-				ms[uint32(ref)] = w&hi32 | gen64
-				continue
-			}
-			ms[uint32(ref)] = w&hi32 | gen64
-			queue = append(queue, heap.TraceItem{ID: ref, Depth: it.Depth + 1})
-		}
-	}
-
-	if opts.BFS {
-		// FIFO with an index head; the slice IS the paper's mark queue
-		// with its depth delimiters collapsed into per-item depths.
-		for head := 0; head < len(queue); head++ {
-			visit(queue[head])
-		}
-	} else {
-		for len(queue) > 0 {
-			it := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			it.Depth = -1
-			visit(it)
-		}
-	}
-	scratch.Queue = queue[:0] // return the (possibly grown) buffer
-	return st
-}
-
-// traceLanes is the number of DFS chains the fast mark loop advances in
-// lock-step; see the lane comment in traceFast.
-const traceLanes = 4
-
-// traceFast is the cache-linear mark loop for the common pure-marking pass
-// (no callbacks, no page touching): it walks the heap's struct-of-arrays
-// view — dense size/live/mark tables plus the CSR edge arena — so each
-// visit reads a few contiguous bytes per object instead of loading Object
-// records and chasing per-object ref slices.
-//
-// Observable results are identical to the generic loop even though the DFS
-// visit order is not: a pure-marking pass reports only the mark set and
-// commutative integer sums over it (objects, bytes, CPU — visitCost is a
-// pure function of size), so any traversal that marks exactly the
-// reachable set yields bit-identical TraceStats. BFS keeps the generic
-// FIFO order because it additionally reports MaxDepth (depths tracked by
-// level boundary instead of per item).
-func traceFast(h *heap.Heap, v heap.View, seeds []heap.ObjectID, bfs bool) TraceStats {
-	const hi32 uint64 = 0xffffffff_00000000
-	var st TraceStats
+	spans, edges := v.EdgeSpans, v.Edges
+	bfs, shouldTrace, shouldTouch, onVisit := opts.BFS, opts.ShouldTrace, opts.ShouldTouch, opts.OnVisit
+	vm, as := h.VM, h.AS
 	scratch := h.Scratch()
-	q := scratch.MarkQ[:0]
-	gen := v.Gen
-	gen64 := uint64(gen)
-	ms := v.MarkSize
-	// The mark/size table folds liveness in: dead slots (and NilObject)
-	// hold the dead sentinel in their mark half, which compares above
-	// every generation, and live unmarked slots hold an older generation.
-	// One load and one compare therefore covers nil-reference, dead and
-	// already-marked at once — and its high half is the object's size,
-	// which rides to the visit inside the queue word.
+	q := scratch.Queue[:0]
 	for _, id := range seeds {
 		w := ms[id]
 		if uint32(w) >= gen {
-			continue
+			continue // nil, dead or already marked
 		}
-		hiw := w & hi32
-		ms[id] = hiw | gen64
-		q = append(q, hiw|uint64(uint32(id)))
+		ms[id] = w&hi32 | gen64
+		q = append(q, id)
 	}
-	spans, edges := v.EdgeSpans, v.Edges
-	var objects, bytes int64
-	var cpu time.Duration
+
+	var st TraceStats
+	// DFS pops the newest entry and reports depth -1; BFS advances head
+	// through the FIFO and counts levels at their boundaries (levelEnd is
+	// where the next level starts), so entries carry only an ID.
+	depth, head, levelEnd := -1, 0, len(q)
 	if bfs {
-		depth, levelEnd := 0, len(q)
-		for head := 0; head < len(q); head++ {
+		depth = 0
+	}
+	for {
+		var id heap.ObjectID
+		if bfs {
+			if head == len(q) {
+				break
+			}
 			if head == levelEnd {
 				depth++
 				levelEnd = len(q)
 			}
-			e := q[head]
-			size := int32(e >> 32)
-			objects++
-			bytes += int64(size)
-			cpu += visitCost(size)
-			s := spans[uint32(e)]
-			off := s >> 32
-			for _, ref := range edges[off : off+(s&0xffffffff)] {
-				w := ms[uint32(ref)]
-				if uint32(w) >= gen {
-					continue
-				}
-				hiw := w & hi32
-				ms[uint32(ref)] = hiw | gen64
-				q = append(q, hiw|uint64(uint32(ref)))
+			id = q[head]
+			head++
+		} else {
+			n := len(q)
+			if n == 0 {
+				break
+			}
+			id = q[n-1]
+			q = q[:n-1]
+		}
+		size := int32(ms[uint32(id)] >> 32)
+		st.ObjectsTraced++
+		st.BytesTraced += int64(size)
+		st.CPU += visitCost(size)
+		if shouldTouch == nil || shouldTouch(id) {
+			// The size is read again rather than kept live across the
+			// ShouldTouch call, which would spill it on every visit.
+			s, err := vm.TouchRange(as, h.Object(id).Addr, int64(ms[uint32(id)]>>32), false)
+			st.FaultStall += s
+			if err != nil && st.Err == nil {
+				st.Err = err
 			}
 		}
-		st.MaxDepth = depth
-	} else {
-		// Pure marking reports only order-independent aggregates (the mark
-		// set plus sums over it), so the traversal order is free. Exploit
-		// that by draining a few DFS chains in lock-step: each lane holds
-		// its chain's next entry in a register, so the serial
-		// load-to-load dependency of pointer chasing (span word -> edge ->
-		// mark word -> next span word) overlaps across lanes, while the
-		// lane count stays small enough that the active pages of all
-		// tables fit the TLB (unlike a full-width FIFO sweep).
-		var lanes [traceLanes]uint64
-		for {
-			anyActive := false
-			for i := range lanes {
-				e := lanes[i]
-				if e == 0 {
-					n := len(q)
-					if n == 0 {
-						continue
-					}
-					e = q[n-1]
-					q = q[:n-1]
-				}
-				anyActive = true
-				size := int32(e >> 32)
-				objects++
-				bytes += int64(size)
-				cpu += visitCost(size)
-				s := spans[uint32(e)]
-				off := s >> 32
-				// Keep the newest discovery in the lane and push earlier
-				// ones: a chain advances with no queue traffic. 0 is never
-				// a valid entry (NilObject is never marked).
-				next := uint64(0)
-				for _, ref := range edges[off : off+(s&0xffffffff)] {
-					w := ms[uint32(ref)]
-					if uint32(w) >= gen {
-						continue
-					}
-					hiw := w & hi32
-					ms[uint32(ref)] = hiw | gen64
-					if next != 0 {
-						q = append(q, next)
-					}
-					next = hiw | uint64(uint32(ref))
-				}
-				lanes[i] = next
+		if onVisit != nil {
+			onVisit(id, depth)
+		}
+		s := spans[uint32(id)]
+		off := s >> 32
+		for _, ref := range edges[off : off+(s&0xffffffff)] {
+			w := ms[uint32(ref)]
+			if uint32(w) >= gen {
+				continue // nil, dead or already marked
 			}
-			if !anyActive {
-				break
+			// Marked either way: a reference ShouldTrace rejects is live
+			// by fiat, so evacuation sees it, but is never touched or
+			// descended into.
+			descend := shouldTrace == nil || shouldTrace(ref)
+			ms[uint32(ref)] = w&hi32 | gen64
+			if descend {
+				q = append(q, ref)
 			}
 		}
 	}
-	st.ObjectsTraced = objects
-	st.BytesTraced = bytes
-	st.CPU = cpu
-	scratch.MarkQ = q[:0]
+	if bfs {
+		st.MaxDepth = depth
+	}
+	scratch.Queue = q[:0] // return the (possibly grown) buffer
 	return st
 }
 
@@ -314,11 +205,11 @@ func Depths(h *heap.Heap) DepthTable {
 	for _, id := range h.Roots() {
 		if id != heap.NilObject && h.Object(id).Live() && depths[id] == Unreachable {
 			depths[id] = 0
-			queue = append(queue, heap.TraceItem{ID: id})
+			queue = append(queue, id)
 		}
 	}
 	for head := 0; head < len(queue); head++ {
-		id := queue[head].ID
+		id := queue[head]
 		d := depths[id]
 		for _, ref := range h.Refs(id) {
 			if ref == heap.NilObject || !h.Object(ref).Live() {
@@ -326,7 +217,7 @@ func Depths(h *heap.Heap) DepthTable {
 			}
 			if depths[ref] == Unreachable {
 				depths[ref] = d + 1
-				queue = append(queue, heap.TraceItem{ID: ref})
+				queue = append(queue, ref)
 			}
 		}
 	}

@@ -164,8 +164,7 @@ type Heap struct {
 	// msize is the dense mark/size table, indexed by ObjectID and grown in
 	// lockstep with objects. It is the only home of the mark generation
 	// (low 32 bits) and packs it with the object's byte size (high 32):
-	// the trace loop's mark check and size read become one load, and the
-	// size travels to the visit through the mark queue.
+	// the trace loop's mark check and size read become one load.
 	msize []uint64
 
 	// CSR edge arena: every object's outgoing references live in one
@@ -240,24 +239,12 @@ func New(as *mem.AddressSpace, vm *vmem.Manager) *Heap {
 	return h
 }
 
-// TraceItem is one work-queue entry of a tracing pass: an object plus its
-// BFS depth (unused under DFS).
-type TraceItem struct {
-	ID    ObjectID
-	Depth int32
-}
-
 // TraceScratch bundles the reusable buffers collectors need per cycle, so
 // a steady-state trace performs no allocations. Buffers are owned by the
 // heap and handed out via Scratch; tracing is not reentrant per heap.
 type TraceScratch struct {
 	// Queue is the mark work queue (the paper's mark stack / mark queue).
-	Queue []TraceItem
-	// MarkQ is the work queue of the fast trace path: each entry packs an
-	// object's size (high 32 bits, copied from the mark/size word when the
-	// object was marked) with its id (low 32), so a visit needs no
-	// per-object size load.
-	MarkQ []uint64
+	Queue []ObjectID
 	// Seeds is the seed staging buffer (roots + card-derived seeds).
 	Seeds []ObjectID
 	// Depths is a dense ObjectID-indexed depth table for analysis passes.

@@ -68,25 +68,23 @@ type Marvin struct {
 	h  *heap.Heap
 	vm *vmem.Manager
 
-	// bookmarked tracks objects whose data lives in (object) swap and
-	// whose stub is resident. Keyed by ObjectID; entries are dropped when
-	// the object is faulted back or dies.
-	bookmarked map[heap.ObjectID]struct{}
+	// bookmarked marks the objects whose data lives in (object) swap and
+	// whose stub is resident, indexed by ObjectID (IDs past its end are
+	// not bookmarked); nBookmarked counts the set entries. An entry is
+	// cleared when the object is faulted back or dies.
+	bookmarked  []bool
+	nBookmarked int
 
 	stubBytes int64
 }
 
 // New creates a Marvin instance for the heap.
 func New(h *heap.Heap, vm *vmem.Manager) *Marvin {
-	return &Marvin{
-		h:          h,
-		vm:         vm,
-		bookmarked: make(map[heap.ObjectID]struct{}),
-	}
+	return &Marvin{h: h, vm: vm}
 }
 
 // BookmarkedObjects returns how many objects currently live in object swap.
-func (m *Marvin) BookmarkedObjects() int { return len(m.bookmarked) }
+func (m *Marvin) BookmarkedObjects() int { return m.nBookmarked }
 
 // StubBytes returns the resident stub footprint.
 func (m *Marvin) StubBytes() int64 { return m.stubBytes }
@@ -104,15 +102,21 @@ func (m *Marvin) PinAllocation(id heap.ObjectID) {
 // object faulting back in sheds its bookmark (the stub is reconciled) and
 // its pages are re-pinned.
 func (m *Marvin) NoteAccess(id heap.ObjectID) {
-	if _, ok := m.bookmarked[id]; !ok {
+	if !m.IsBookmarked(id) {
 		return
 	}
 	o := m.h.Object(id)
-	delete(m.bookmarked, id)
-	m.stubBytes -= m.stubSize(id)
+	m.unbookmark(id)
 	// The page fault itself was paid by heap.Access; re-pin so the kernel
 	// LRU leaves the revived object alone.
 	m.vm.Pin(m.h.AS, o.Addr, int64(o.Size))
+}
+
+// unbookmark drops a bookmarked object's stub.
+func (m *Marvin) unbookmark(id heap.ObjectID) {
+	m.bookmarked[id] = false
+	m.nBookmarked--
+	m.stubBytes -= m.stubSize(id)
 }
 
 // stubSize is the resident stub footprint of a bookmarked object: a fixed
@@ -146,7 +150,7 @@ func (m *Marvin) SwapOutCold(now time.Duration, budgetBytes int64) (objects int,
 			if h.IsRoot(id) {
 				continue
 			}
-			if _, done := m.bookmarked[id]; done {
+			if m.IsBookmarked(id) {
 				continue
 			}
 			if now-o.LastAccess < coldWindow {
@@ -163,6 +167,9 @@ func (m *Marvin) SwapOutCold(now time.Duration, budgetBytes int64) (objects int,
 		return cands[i].id < cands[j].id
 	})
 
+	if n := h.ObjectTableSize(); len(m.bookmarked) < n {
+		m.bookmarked = append(m.bookmarked, make([]bool, n-len(m.bookmarked))...)
+	}
 	ev := h.NewEvacuator()
 	var moved []*heap.Region
 	for _, c := range cands {
@@ -174,7 +181,8 @@ func (m *Marvin) SwapOutCold(now time.Duration, budgetBytes int64) (objects int,
 		// the from-regions away (they may share pages with resident
 		// neighbours); DRAM is therefore reclaimed at GC, as in Marvin.
 		ev.Copy(c.id, heap.KindCold)
-		m.bookmarked[c.id] = struct{}{}
+		m.bookmarked[c.id] = true
+		m.nBookmarked++
 		m.stubBytes += m.stubSize(c.id)
 		objects++
 		bytes += int64(o.Size)
@@ -194,8 +202,7 @@ func (m *Marvin) SwapOutCold(now time.Duration, budgetBytes int64) (objects int,
 // IsBookmarked reports whether the object's data currently lives in object
 // swap.
 func (m *Marvin) IsBookmarked(id heap.ObjectID) bool {
-	_, ok := m.bookmarked[id]
-	return ok
+	return int(id) < len(m.bookmarked) && m.bookmarked[id]
 }
 
 // RunGC is Marvin's bookmarking collection: a full trace that consults
@@ -209,15 +216,12 @@ func (m *Marvin) RunGC(now time.Duration) gc.Result {
 	seeds := h.Roots()
 	res.PauseSTW += gc.FlipPause + time.Duration(len(seeds))*gc.RootScanCPU
 	// Consistency STW: reconcile every stub with its object state.
-	res.PauseSTW += time.Duration(len(m.bookmarked)) * StubSTWPerObject
+	res.PauseSTW += time.Duration(m.nBookmarked) * StubSTWPerObject
 
 	h.BeginTrace()
 	res.AddTrace(gc.Trace(h, seeds, gc.TraceOpts{
-		Now: now,
-		ShouldTouch: func(id heap.ObjectID) bool {
-			_, swapped := m.bookmarked[id]
-			return !swapped
-		},
+		Now:         now,
+		ShouldTouch: func(id heap.ObjectID) bool { return !m.IsBookmarked(id) },
 	}))
 
 	// Partition regions: ordinary regions are evacuated and freed; swap
@@ -252,16 +256,15 @@ func (m *Marvin) RunGC(now time.Duration) gc.Result {
 			}
 			if !h.Marked(id) {
 				// Dead: drop stub (if still bookmarked).
-				if _, ok := m.bookmarked[id]; ok {
-					delete(m.bookmarked, id)
-					m.stubBytes -= m.stubSize(id)
+				if m.IsBookmarked(id) {
+					m.unbookmark(id)
 				}
 				res.ObjectsFreed++
 				res.BytesFreed += int64(o.Size)
 				h.KillObject(id)
 				continue
 			}
-			if _, swapped := m.bookmarked[id]; swapped {
+			if m.IsBookmarked(id) {
 				liveLeft++ // stays bookmarked in place
 				continue
 			}

@@ -352,3 +352,68 @@ func TestRunGCKind(t *testing.T) {
 		t.Errorf("kind = %v", res.Kind)
 	}
 }
+
+// TestBookmarkCountMatchesTable runs random SwapOutCold / mutator access /
+// RunGC cycles over a growing, churning heap and requires, after every
+// step, that BookmarkedObjects equals the number of IDs IsBookmarked
+// reports: bookmarking, fault-back and the death of a bookmarked object
+// must each keep the dense table and its count in step.
+func TestBookmarkCountMatchesTable(t *testing.T) {
+	r := xrand.New(11)
+	h, _, m := newRig()
+	root := alloc(h, m, 64, 0)
+	h.AddRoot(root)
+	var parents []heap.ObjectID
+	now := time.Duration(0)
+	var faultedBack, diedBookmarked bool
+	check := func(step string) {
+		t.Helper()
+		n := 0
+		for id := heap.ObjectID(0); int(id) < h.ObjectTableSize()+8; id++ {
+			if m.IsBookmarked(id) {
+				n++
+			}
+		}
+		if got := m.BookmarkedObjects(); got != n {
+			t.Fatalf("%s at %v: BookmarkedObjects() = %d, table holds %d", step, now, got, n)
+		}
+	}
+	for cycle := 0; cycle < 40; cycle++ {
+		now += 10 * time.Second
+		for i := 0; i < 60; i++ {
+			id := alloc(h, m, int32(256+r.Intn(4000)), now)
+			switch {
+			case len(parents) == 0 || r.Bool(0.3):
+				h.AddRef(root, id, now)
+				parents = append(parents, id)
+			case r.Bool(0.7):
+				h.AddRef(parents[r.Intn(len(parents))], id, now)
+			} // else garbage at birth
+		}
+		// Cut a few subtrees loose so bookmarked objects die.
+		for i := 0; i < 3 && len(parents) > 0; i++ {
+			p := parents[r.Intn(len(parents))]
+			if h.Object(p).Live() {
+				h.ClearRefs(p, now)
+			}
+		}
+		m.SwapOutCold(now, int64(r.Intn(64))*units.KiB)
+		check("SwapOutCold")
+		for id := heap.ObjectID(1); int(id) < h.ObjectTableSize(); id++ {
+			if h.Object(id).Live() && m.IsBookmarked(id) && r.Bool(0.2) {
+				h.Access(id, false, now)
+				faultedBack = true
+				check("NoteAccess")
+			}
+		}
+		before := m.BookmarkedObjects()
+		res := m.RunGC(now)
+		if res.ObjectsFreed > 0 && m.BookmarkedObjects() < before {
+			diedBookmarked = true
+		}
+		check("RunGC")
+	}
+	if !faultedBack || !diedBookmarked {
+		t.Fatalf("cycles never exercised fault-back (%v) or a bookmarked death (%v)", faultedBack, diedBookmarked)
+	}
+}

@@ -11,23 +11,24 @@ import "math"
 // each simulated component owns its own Rand derived from a master seed.
 type Rand struct {
 	s [4]uint64
-	// zmemo caches the Zipf sampler's per-(n,s) rejection bounds, which
-	// cost four exp/log calls to recompute and dominate the workload
-	// generators' access sampling. Two slots cover the common pattern of
-	// alternating draws over two ranges (hot views and the recency ring).
-	// Purely a cache of pure-function values: hit or miss, the draw
-	// stream is bit-identical.
-	zmemo [2]zipfMemo
-	znext uint8
+	// ztabs holds one Zipf acceptance table per skew drawn from this
+	// Rand (a handful at most), never evicted. Purely a cache of
+	// pure-function values: the draw stream is bit-identical to
+	// evaluating them per draw.
+	ztabs []zipfTable
 }
 
-// zipfMemo is one cached set of rejection-inversion bounds; n == 0 marks
-// an empty slot (Zipf never caches n <= 1).
-type zipfMemo struct {
-	n       int
-	s       float64
-	hx0, hn float64
+// zipfTable caches, for one skew s, the per-rank values of the Zipf
+// rejection sampler: ent[k].h = helperH(k+0.5) and ent[k].thr = ent[k].h -
+// exp(-s·log(k+1)), the acceptance threshold of rank k. Entries fill the
+// first time a draw needs them; h == 0 marks an empty entry, since helperH
+// is never 0 at a finite argument.
+type zipfTable struct {
+	s   float64
+	ent []zipfEntry
 }
+
+type zipfEntry struct{ h, thr float64 }
 
 // splitmix64 expands a 64-bit seed into a well-distributed stream; it is the
 // recommended seeding procedure for the xoshiro family.
@@ -135,12 +136,14 @@ func (r *Rand) Zipf(n int, s float64) int {
 		return 0
 	}
 	// Simple inversion on the truncated zeta CDF computed incrementally
-	// would be O(n); instead use the standard rejection sampler.
-	v := 1.0
-	q := s
-	oneMinusQ := 1 - q
+	// would be O(n); instead use the standard rejection sampler. Its
+	// bounds and acceptance thresholds depend only on (k, s), so they come
+	// from the skew's table and each iteration pays only helperHInv.
+	oneMinusQ := 1 - s
 	oneMinusQInv := 1 / oneMinusQ
-	hx0, hn := r.zipfBounds(n, s, oneMinusQ, oneMinusQInv)
+	t := r.zipfTable(s, n)
+	hx0 := t.entry(0, oneMinusQ, oneMinusQInv).h - 1
+	hn := t.entry(n, oneMinusQ, oneMinusQInv).h
 	for {
 		u := hn + r.Float64()*(hx0-hn)
 		x := helperHInv(u, oneMinusQ, oneMinusQInv)
@@ -150,28 +153,45 @@ func (r *Rand) Zipf(n int, s float64) int {
 		} else if k > float64(n-1) {
 			k = float64(n - 1)
 		}
-		if u >= helperH(k+0.5, oneMinusQ, oneMinusQInv)-math.Exp(-q*math.Log(k+v)) {
+		if u >= t.entry(int(k), oneMinusQ, oneMinusQInv).thr {
 			return int(k)
 		}
 	}
 }
 
-// zipfBounds returns (hx0, hn) for the rejection sampler, answering from
-// the per-Rand memo when the (n, s) pair repeats — the workload
-// generators draw millions of times over slowly-changing ranges, and
-// these bounds are the only per-draw cost that doesn't depend on the
-// drawn value. Slots fill round-robin on miss.
-func (r *Rand) zipfBounds(n int, s, oneMinusQ, oneMinusQInv float64) (hx0, hn float64) {
-	for i := range r.zmemo {
-		if m := &r.zmemo[i]; m.n == n && m.s == s {
-			return m.hx0, m.hn
+// zipfTable returns skew s's table with room for ranks 0..n.
+func (r *Rand) zipfTable(s float64, n int) *zipfTable {
+	var t *zipfTable
+	for i := range r.ztabs {
+		if r.ztabs[i].s == s {
+			t = &r.ztabs[i]
+			break
 		}
 	}
-	hx0 = helperH(0.5, oneMinusQ, oneMinusQInv) - 1
-	hn = helperH(float64(n)+0.5, oneMinusQ, oneMinusQInv)
-	r.zmemo[r.znext] = zipfMemo{n: n, s: s, hx0: hx0, hn: hn}
-	r.znext ^= 1
-	return hx0, hn
+	if t == nil {
+		r.ztabs = append(r.ztabs, zipfTable{s: s})
+		t = &r.ztabs[len(r.ztabs)-1]
+	}
+	if len(t.ent) <= n {
+		t.ent = append(t.ent, make([]zipfEntry, n+1-len(t.ent))...)
+	}
+	return t
+}
+
+// entry returns rank k's cached values, computing them on first use. The
+// fill is a separate call so that the lookup inlines into Zipf's loop.
+func (t *zipfTable) entry(k int, oneMinusQ, oneMinusQInv float64) *zipfEntry {
+	e := &t.ent[k]
+	if e.h == 0 {
+		t.fill(e, k, oneMinusQ, oneMinusQInv)
+	}
+	return e
+}
+
+func (t *zipfTable) fill(e *zipfEntry, k int, oneMinusQ, oneMinusQInv float64) {
+	kf := float64(k)
+	e.h = helperH(kf+0.5, oneMinusQ, oneMinusQInv)
+	e.thr = e.h - math.Exp(-t.s*math.Log(kf+1))
 }
 
 func helperH(x, oneMinusQ, oneMinusQInv float64) float64 {

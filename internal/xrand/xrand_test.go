@@ -203,3 +203,69 @@ func TestBoolProbability(t *testing.T) {
 		t.Errorf("Bool(0.3) frequency = %v", frac)
 	}
 }
+
+// refZipf is the rejection-inversion sampler as it stood before Zipf
+// tabulated its bounds and acceptance thresholds: every draw evaluates
+// them afresh. TestZipfStreamMatchesReference pins Zipf to it bit for bit.
+func refZipf(r *Rand, n int, s float64) int {
+	if n <= 1 {
+		return 0
+	}
+	v := 1.0
+	q := s
+	oneMinusQ := 1 - q
+	oneMinusQInv := 1 / oneMinusQ
+	hx0 := refH(0.5, oneMinusQ, oneMinusQInv) - 1
+	hn := refH(float64(n)+0.5, oneMinusQ, oneMinusQInv)
+	for {
+		u := hn + r.Float64()*(hx0-hn)
+		x := math.Exp(oneMinusQInv*math.Log(oneMinusQ*u)) - 1
+		k := math.Floor(x + 0.5)
+		if k < 0 {
+			k = 0
+		} else if k > float64(n-1) {
+			k = float64(n - 1)
+		}
+		if u >= refH(k+0.5, oneMinusQ, oneMinusQInv)-math.Exp(-q*math.Log(k+v)) {
+			return int(k)
+		}
+	}
+}
+
+func refH(x, oneMinusQ, oneMinusQInv float64) float64 {
+	return math.Exp(oneMinusQ*math.Log(1+x)) * oneMinusQInv
+}
+
+// TestZipfStreamMatchesReference draws over a million Zipf variates from
+// twin Rands, one through Zipf and one through refZipf, and requires every
+// draw to match: n = 1 and 2, an n growing one at a time past 4096, and
+// random n up to 10000, with skews 1.2, 1.3 and 2.0 interleaved so the
+// per-skew tables fill and grow side by side.
+func TestZipfStreamMatchesReference(t *testing.T) {
+	got, want := New(99), New(99)
+	pick := New(5)
+	skews := []float64{1.2, 1.3, 2.0}
+	draws := 0
+	check := func(n int, s float64) {
+		t.Helper()
+		g, w := got.Zipf(n, s), refZipf(want, n, s)
+		if g != w {
+			t.Fatalf("draw %d: Zipf(%d, %g) = %d, reference %d", draws, n, s, g, w)
+		}
+		draws++
+	}
+	for i := 0; i < 20000; i++ {
+		check(1+i%2, skews[i%len(skews)])
+	}
+	for n := 2; n <= 6000; n++ {
+		for i := 0; i < 30; i++ {
+			check(n, skews[(n+i)%len(skews)])
+		}
+	}
+	for draws < 1_100_000 {
+		check(1+pick.Intn(10000), skews[pick.Intn(len(skews))])
+	}
+	if g, w := got.Uint64(), want.Uint64(); g != w {
+		t.Fatalf("streams diverged after %d draws: %#x vs %#x", draws, g, w)
+	}
+}

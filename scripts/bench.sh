@@ -1,10 +1,10 @@
 #!/bin/sh
-# Runs the hot-path micro-benchmarks (GC trace, page-table lookup, heap
-# build via Alloc/AddRef, fleetd per-job service overhead, the zram
-# store/load round trip) plus the end-to-end per-policy device-tick bench
-# and the population campaign's per-device cost, and writes the raw
-# `go test -json` stream to $BENCH_OUT (default BENCH_5.json) at the repo
-# root.
+# Runs the hot-path micro-benchmarks (GC trace without and with page
+# touching, page-table lookup, heap build via Alloc/AddRef, fleetd
+# per-job service overhead, the zram store/load round trip) plus the
+# end-to-end per-policy device-tick bench and the population campaign's
+# per-device cost, and writes the raw `go test -json` stream to
+# $BENCH_OUT (default BENCH_5.json) at the repo root.
 #
 # Usage: [BENCH_OUT=out.json] [BENCH_COUNT=N] scripts/bench.sh [extra go-test args]
 #
@@ -17,7 +17,7 @@ cd "$(dirname "$0")/.."
 
 out=${BENCH_OUT:-BENCH_5.json}
 count=${BENCH_COUNT:-1}
-go test -run '^$' -bench 'TraceHotPath|PageLookup|PageRangeWalk|HeapBuild|ServiceJob|DeviceTick|ZramSwapOut' \
+go test -run '^$' -bench 'TraceHotPath|TraceTouchPass|PageLookup|PageRangeWalk|HeapBuild|ServiceJob|DeviceTick|ZramSwapOut' \
 	-benchmem -count "$count" -json \
 	"$@" ./internal/gc ./internal/mem ./internal/vmem ./internal/heap ./internal/service ./internal/core ./internal/population | tee "$out" | \
 	grep -o '"Output":"Benchmark[^"]*' | sed 's/"Output":"//; s/\\t/\t/g; s/\\n//' || true
