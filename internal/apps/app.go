@@ -13,14 +13,23 @@ import (
 	"fleetsim/internal/xrand"
 )
 
+// maxChainLen bounds a chain's length: growChain draws it uniformly from
+// 1..maxChainLen.
+const maxChainLen = 6
+
 // chain is one unit of deep data: a linked list of objects hanging off a
 // view at depth ≥ 3. Chains live and die as units, which keeps the
-// workload's liveness bookkeeping exact.
+// workload's liveness bookkeeping exact. The ids are stored inline, so a
+// chain holds no pointer and costs no allocation of its own.
 type chain struct {
 	view heap.ObjectID // owning view
-	slot int           // reference slot within the view
-	ids  []heap.ObjectID
+	slot int32         // reference slot within the view
+	n    int32         // length: ids[:n] are the chain's objects, head first
+	ids  [maxChainLen]heap.ObjectID
 }
+
+// objects returns the chain's object IDs, head first.
+func (c *chain) objects() []heap.ObjectID { return c.ids[:c.n] }
 
 // App is a running app instance: a Java heap, a native segment and the
 // behavioural state the workload generator needs.
@@ -160,7 +169,7 @@ func (a *App) BuildInitial(now time.Duration) (time.Duration, error) {
 		act := a.activities[a.R.Intn(len(a.activities))]
 		stall += a.note(a.H.AddRef(act, v, now))
 		a.views = append(a.views, v)
-		nroBytes += int64(a.H.Object(v).Size)
+		nroBytes += int64(a.H.Size(v))
 	}
 	a.dataBytes += nroBytes
 
@@ -206,8 +215,8 @@ func (a *App) growChain(now time.Duration, epoch heap.Epoch) (time.Duration, int
 	var stall time.Duration
 	var bytes int64
 	view := a.views[a.R.Intn(len(a.views))]
-	length := 1 + a.R.Intn(6)
-	c := chain{view: view, slot: a.nextSlot(view), ids: make([]heap.ObjectID, 0, length)}
+	length := 1 + a.R.Intn(maxChainLen)
+	c := chain{view: view, slot: int32(a.nextSlot(view))}
 	parent := view
 	for i := 0; i < length; i++ {
 		size := a.Sizes.Sample(a.R)
@@ -215,11 +224,12 @@ func (a *App) growChain(now time.Duration, epoch heap.Epoch) (time.Duration, int
 		stall += s
 		bytes += int64(size)
 		if i == 0 {
-			stall += a.note(a.H.SetRef(view, c.slot, id, now))
+			stall += a.note(a.H.SetRef(view, int(c.slot), id, now))
 		} else {
 			stall += a.note(a.H.AddRef(parent, id, now))
 		}
-		c.ids = append(c.ids, id)
+		c.ids[c.n] = id
+		c.n++
 		parent = id
 	}
 	a.chains = append(a.chains, c)
@@ -241,11 +251,11 @@ func (a *App) dropChain(now time.Duration) time.Duration {
 		return 0
 	}
 	i := a.R.Intn(len(a.chains))
-	c := a.chains[i]
-	for _, id := range c.ids {
-		a.dataBytes -= int64(a.H.Object(id).Size)
+	c := &a.chains[i]
+	for _, id := range c.objects() {
+		a.dataBytes -= int64(a.H.Size(id))
 	}
-	stall := a.note(a.H.SetRef(c.view, c.slot, heap.NilObject, now))
+	stall := a.note(a.H.SetRef(c.view, int(c.slot), heap.NilObject, now))
 	a.chains[i] = a.chains[len(a.chains)-1]
 	a.chains = a.chains[:len(a.chains)-1]
 	// The recency pools may still name the dropped objects; readers guard
@@ -301,8 +311,8 @@ func (a *App) ForegroundTick(now, dt time.Duration) (time.Duration, error) {
 			stall += s
 			spent += bytes - int64(size) // first node's size already counted
 			a.dataBytes += bytes
-			c := a.chains[len(a.chains)-1]
-			for _, cid := range c.ids {
+			c := &a.chains[len(a.chains)-1]
+			for _, cid := range c.objects() {
 				a.recentDeep = pushRecent(a.recentDeep, cid)
 			}
 		}
@@ -360,13 +370,13 @@ func (a *App) sampleAccess() heap.ObjectID {
 		return a.views[a.R.Zipf(len(a.views), 1.3)]
 	case a.R.Bool(0.5) && len(a.recentDeep) > 0:
 		id := a.recentDeep[len(a.recentDeep)-1-a.R.Zipf(len(a.recentDeep), 1.2)]
-		if a.H.Object(id).Live() {
+		if a.H.Live(id) {
 			return id
 		}
 		return heap.NilObject
 	case len(a.chains) > 0:
-		c := a.chains[a.R.Intn(len(a.chains))]
-		return c.ids[a.R.Intn(len(c.ids))]
+		c := &a.chains[a.R.Intn(len(a.chains))]
+		return c.ids[a.R.Intn(int(c.n))]
 	case len(a.views) > 0:
 		return a.views[a.R.Intn(len(a.views))]
 	}
@@ -386,7 +396,7 @@ func (a *App) EnterBackground(now time.Duration) {
 		case len(a.views) > 0:
 			id = a.views[a.R.Intn(len(a.views))]
 		}
-		if id != heap.NilObject && a.H.Object(id).Live() {
+		if a.H.Live(id) {
 			a.bgWS = append(a.bgWS, id)
 		}
 	}
@@ -421,7 +431,7 @@ func (a *App) BackgroundTick(now, dt time.Duration) (time.Duration, error) {
 	}
 	for i := 0; i < a.BgAccessesPerTick && len(a.bgWS) > 0 && a.err == nil; i++ {
 		id := a.bgWS[a.R.Intn(len(a.bgWS))]
-		if a.H.Object(id).Live() {
+		if a.H.Live(id) {
 			stall += a.note(a.H.Access(id, a.R.Bool(0.2), now))
 		}
 	}
@@ -448,7 +458,7 @@ func (a *App) LaunchSet() []heap.ObjectID {
 				idx = a.R.Intn(len(pool))
 			}
 			id := pool[idx]
-			if a.H.Object(id).Live() {
+			if a.H.Live(id) {
 				set = append(set, id)
 			}
 		}
@@ -464,8 +474,8 @@ func (a *App) LaunchSet() []heap.ObjectID {
 	// Cold bulk for the remainder.
 	rest := count - len(set)
 	for i := 0; i < rest && len(a.chains) > 0; i++ {
-		c := a.chains[a.R.Intn(len(a.chains))]
-		set = append(set, c.ids[a.R.Intn(len(c.ids))])
+		c := &a.chains[a.R.Intn(len(a.chains))]
+		set = append(set, c.ids[a.R.Intn(int(c.n))])
 	}
 	return set
 }

@@ -1,9 +1,12 @@
 package apps
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"fleetsim/internal/gc"
 	"fleetsim/internal/heap"
@@ -341,6 +344,26 @@ func TestDefaultLaunchMixSumsBelowOne(t *testing.T) {
 	}
 }
 
+// TestChainIsPointerFree pins a chain at 36 bytes with its ids inline: a
+// chain that held a slice would cost a Go allocation per chain and put
+// the chain list back under the Go collector's scan.
+func TestChainIsPointerFree(t *testing.T) {
+	typ := reflect.TypeOf(chain{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		ft := f.Type
+		if ft.Kind() == reflect.Array {
+			ft = ft.Elem()
+		}
+		if ft.Kind() != reflect.Int32 {
+			t.Errorf("chain.%s is a %s, want int32 fields and arrays of them", f.Name, f.Type)
+		}
+	}
+	if got := unsafe.Sizeof(chain{}); got != 36 {
+		t.Errorf("unsafe.Sizeof(chain{}) = %d, want 36", got)
+	}
+}
+
 // TestChainSlotsMatchViewRefs drives foreground sessions, background
 // spells and collections, and after each requires every live chain's
 // (view, slot) to be unique and the view's reference in that slot to be
@@ -355,19 +378,30 @@ func TestChainSlotsMatchViewRefs(t *testing.T) {
 		t.Helper()
 		type slotKey struct {
 			view heap.ObjectID
-			slot int
+			slot int32
 		}
 		seen := make(map[slotKey]bool, len(a.chains))
-		for _, c := range a.chains {
+		for i := range a.chains {
+			c := &a.chains[i]
 			k := slotKey{c.view, c.slot}
 			if seen[k] {
 				t.Fatalf("%s at %v: two chains share view %d slot %d", phase, now, c.view, c.slot)
 			}
 			seen[k] = true
+			ids := c.objects()
+			if len(ids) < 1 || len(ids) > maxChainLen {
+				t.Fatalf("%s at %v: chain under view %d has %d objects", phase, now, c.view, len(ids))
+			}
 			refs := a.H.Refs(c.view)
-			if c.slot >= len(refs) || refs[c.slot] != c.ids[0] {
+			if int(c.slot) >= len(refs) || refs[c.slot] != ids[0] {
 				t.Fatalf("%s at %v: view %d slot %d does not hold chain head %d (refs %v)",
-					phase, now, c.view, c.slot, c.ids[0], refs)
+					phase, now, c.view, c.slot, ids[0], refs)
+			}
+			// Each link is live and referenced by the one before it.
+			for j, id := range ids {
+				if !a.H.Live(id) || (j > 0 && !slices.Contains(a.H.Refs(ids[j-1]), id)) {
+					t.Fatalf("%s at %v: chain under view %d broken at link %d (%v)", phase, now, c.view, j, ids)
+				}
 			}
 		}
 	}

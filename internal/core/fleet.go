@@ -151,9 +151,9 @@ func (f *Fleet) WriteBarrier(id heap.ObjectID) {
 	if f.card == nil || f.state == StateInactive {
 		return
 	}
-	o := f.h.Object(id)
-	if f.h.RegionByID(o.Region).FGO {
-		f.card.MarkDirty(o.Addr)
+	addr := f.h.Addr(id)
+	if f.h.RegionAt(addr).FGO {
+		f.card.MarkDirty(addr)
 	}
 }
 
@@ -164,14 +164,14 @@ func (f *Fleet) WriteBarrier(id heap.ObjectID) {
 const wsWindow = 10 * time.Second
 
 // classify computes an object's class given its BFS depth (§5.3.1 rules).
-func (f *Fleet) classify(o *heap.Object, depth int, now time.Duration) Class {
+func (f *Fleet) classify(id heap.ObjectID, depth int, now time.Duration) Class {
 	if depth >= 0 && depth <= f.cfg.NRODepth {
 		return ClassNRO
 	}
-	if f.h.RegionByID(o.Region).NewlyAllocated {
+	if f.h.RegionOf(id).NewlyAllocated {
 		return ClassFYO
 	}
-	if now-o.LastAccess <= wsWindow {
+	if now-f.h.LastAccess(id) <= wsWindow {
 		return ClassWS
 	}
 	return ClassCold
@@ -217,24 +217,23 @@ func (f *Fleet) RunGrouping(now time.Duration) gc.Result {
 	h.BeginTrace()
 	res.AddTrace(gc.Trace(h, seeds, gc.TraceOpts{
 		BFS: true,
-		Now: now,
 		OnVisit: func(id heap.ObjectID, depth int) {
-			o := h.Object(id)
-			c := f.classify(o, depth, now)
+			c := f.classify(id, depth, now)
 			f.classes[id] = c
+			size := int64(h.Size(id))
 			switch c {
 			case ClassNRO:
 				gs.NRO++
-				gs.NROBytes += int64(o.Size)
+				gs.NROBytes += size
 			case ClassFYO:
 				gs.FYO++
-				gs.FYOBytes += int64(o.Size)
+				gs.FYOBytes += size
 			case ClassWS:
 				gs.WS++
-				gs.WSBytes += int64(o.Size)
+				gs.WSBytes += size
 			default:
 				gs.Cold++
-				gs.ColdBytes += int64(o.Size)
+				gs.ColdBytes += size
 			}
 		},
 	}))
@@ -362,7 +361,7 @@ func (f *Fleet) RunBGC(now time.Duration) gc.Result {
 	})
 
 	h.BeginTrace()
-	res.AddTrace(gc.Trace(h, seeds, gc.TraceOpts{ShouldTrace: isBGO, Now: now}))
+	res.AddTrace(gc.Trace(h, seeds, gc.TraceOpts{ShouldTrace: isBGO}))
 	gc.SaveSeeds(h, seeds)
 
 	// Evacuate live BGO out of BGO regions; FGO regions are untouched.

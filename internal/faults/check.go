@@ -90,7 +90,7 @@ func Check(vm *vmem.Manager, spaces []*mem.AddressSpace, heaps []*heap.Heap) []s
 func checkHeap(h *heap.Heap, addf func(string, ...any)) {
 	owner := h.AS.Owner
 	var liveBytes, liveCount int64
-	h.ForEachLiveObject(func(id heap.ObjectID, o *heap.Object) {
+	h.ForEachLiveObject(func(id heap.ObjectID, o heap.Object) {
 		liveCount++
 		liveBytes += int64(o.Size)
 		r := h.RegionByID(o.Region)

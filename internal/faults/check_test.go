@@ -1,6 +1,7 @@
 package faults_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -124,10 +125,13 @@ func TestCheckCounterClasses(t *testing.T) {
 }
 
 func TestCheckHeapClasses(t *testing.T) {
-	liveObject := func(t *testing.T, h *heap.Heap) (heap.ObjectID, *heap.Object) {
+	// Object state is corrupted through the same exported state a buggy
+	// collector could leave wrong: region records, and the hot records a
+	// trace writes through the heap's View.
+	liveObject := func(t *testing.T, h *heap.Heap) heap.ObjectID {
 		t.Helper()
 		var id heap.ObjectID
-		h.ForEachLiveObject(func(i heap.ObjectID, _ *heap.Object) {
+		h.ForEachLiveObject(func(i heap.ObjectID, _ heap.Object) {
 			if id == heap.NilObject {
 				id = i
 			}
@@ -135,53 +139,46 @@ func TestCheckHeapClasses(t *testing.T) {
 		if id == heap.NilObject {
 			t.Fatal("no live object to corrupt")
 		}
-		return id, h.Object(id)
+		return id
 	}
 
 	t.Run("live object in freed region", func(t *testing.T) {
 		vm, h := newRig(1024, 512)
 		buildGraph(h, 100)
-		_, o := liveObject(t, h)
-		h.FreeRegion(h.RegionByID(o.Region)) // collector forgot to move it
+		id := liveObject(t, h)
+		h.FreeRegion(h.RegionOf(id)) // collector forgot to move it
 		checkFinds(t, vm, h, "freed region")
 	})
 	t.Run("object outside region span", func(t *testing.T) {
 		vm, h := newRig(1024, 512)
 		buildGraph(h, 100)
-		_, o := liveObject(t, h)
-		o.Addr += 100 * units.RegionSize
+		id := liveObject(t, h)
+		r := h.RegionOf(id)
+		r.Used = h.Addr(id) - r.Base // bump pointer rolled back over a live object
 		checkFinds(t, vm, h, "outside region")
 	})
 	t.Run("live bytes mismatch", func(t *testing.T) {
 		vm, h := newRig(1024, 512)
 		buildGraph(h, 100)
-		_, o := liveObject(t, h)
-		o.Size-- // walk sum now trails the heap's counter
+		id := liveObject(t, h)
+		h.SoAView().Hot[id].MarkSize -= 1 << 32 // size-1: walk sum now trails the heap's counter
 		checkFinds(t, vm, h, "live bytes")
 	})
 	t.Run("region overfull", func(t *testing.T) {
 		vm, h := newRig(1024, 512)
 		buildGraph(h, 100)
-		_, o := liveObject(t, h)
-		h.RegionByID(o.Region).Used = units.RegionSize + 1
+		id := liveObject(t, h)
+		h.RegionOf(id).Used = units.RegionSize + 1
 		checkFinds(t, vm, h, "overfull")
 	})
 	t.Run("region object list mismatch", func(t *testing.T) {
 		vm, h := newRig(1024, 512)
-		buildGraph(h, 1100) // ~280 KB of objects: spills into a second region
-		// Point an object at a region whose list does not name it: the
-		// cross-count of listed-vs-table live objects must drop by one.
-		id, o := liveObject(t, h)
-		other := h.RegionByID(o.Region) // find any other region
-		h.Regions(func(r *heap.Region) {
-			if r.ID != o.Region {
-				other = r
-			}
-		})
-		if other.ID == o.Region {
-			t.Skipf("heap has a single region; cannot mispoint object %d", id)
-		}
-		o.Region = other.ID
+		buildGraph(h, 100)
+		// Drop a live object from its region's list: the cross-count of
+		// listed-vs-table live objects must fall short by one.
+		id := liveObject(t, h)
+		r := h.RegionOf(id)
+		r.Objects = slices.DeleteFunc(r.Objects, func(o heap.ObjectID) bool { return o == id })
 		checkFinds(t, vm, h, "region object lists name")
 	})
 }

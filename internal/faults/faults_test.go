@@ -230,21 +230,22 @@ func TestCheckDetectsPlantedCorruption(t *testing.T) {
 	}
 	victim.State = mem.PageResident
 
-	// Heap corruption: teleport a live object outside its region's span.
+	// Heap corruption: roll a region's bump pointer back over a live
+	// object, leaving the object outside its region's used span.
 	var id heap.ObjectID
 	for i := 1; i < h.ObjectTableSize(); i++ {
-		if h.Object(heap.ObjectID(i)).Live() {
+		if h.Live(heap.ObjectID(i)) {
 			id = heap.ObjectID(i)
 			break
 		}
 	}
-	o := h.Object(id)
-	saved := o.Addr
-	o.Addr += 100 * units.RegionSize
+	r := h.RegionOf(id)
+	saved := r.Used
+	r.Used = h.Addr(id) - r.Base
 	if v := faults.Check(vm, []*mem.AddressSpace{h.AS}, []*heap.Heap{h}); len(v) == 0 {
 		t.Error("planted object-placement corruption not detected")
 	}
-	o.Addr = saved
+	r.Used = saved
 	if v := faults.Check(vm, []*mem.AddressSpace{h.AS}, []*heap.Heap{h}); len(v) != 0 {
 		t.Errorf("restored system still reports violations: %v", v)
 	}

@@ -2,7 +2,6 @@ package gc
 
 import (
 	"testing"
-	"time"
 
 	"fleetsim/internal/heap"
 	"fleetsim/internal/mem"
@@ -50,7 +49,7 @@ func BenchmarkTraceHotPath(b *testing.B) {
 	var traced int64
 	for i := 0; i < b.N; i++ {
 		h.BeginTrace()
-		st := Trace(h, h.RootSlice(), TraceOpts{ShouldTouch: neverTouch, Now: time.Duration(i)})
+		st := Trace(h, h.RootSlice(), TraceOpts{ShouldTouch: neverTouch})
 		traced = st.ObjectsTraced
 	}
 	b.ReportMetric(float64(traced), "objects/trace")
@@ -64,7 +63,7 @@ func BenchmarkTraceHotPathBFS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.BeginTrace()
-		Trace(h, h.RootSlice(), TraceOpts{BFS: true, ShouldTouch: neverTouch, Now: time.Duration(i)})
+		Trace(h, h.RootSlice(), TraceOpts{BFS: true, ShouldTouch: neverTouch})
 	}
 }
 
@@ -84,6 +83,6 @@ func BenchmarkTraceTouchPass(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.BeginTrace()
-		Trace(h, h.RootSlice(), TraceOpts{ShouldTouch: shouldTouch, Now: time.Duration(i)})
+		Trace(h, h.RootSlice(), TraceOpts{ShouldTouch: shouldTouch})
 	}
 }

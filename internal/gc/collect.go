@@ -106,9 +106,9 @@ func (rs *RememberedSet) Table() *cardtable.Table { return rs.table }
 // Barrier is the write-barrier hook: writes to objects in old regions dirty
 // their card.
 func (rs *RememberedSet) Barrier(id heap.ObjectID) {
-	o := rs.h.Object(id)
-	if !rs.h.RegionByID(o.Region).NewlyAllocated {
-		rs.table.MarkDirty(o.Addr)
+	addr := rs.h.Addr(id)
+	if !rs.h.RegionAt(addr).NewlyAllocated {
+		rs.table.MarkDirty(addr)
 	}
 }
 
@@ -127,18 +127,15 @@ func (rs *RememberedSet) appendCardSeeds(seeds []heap.ObjectID, res *Result) []h
 			return
 		}
 		h.ForEachObjectOverlapping(r, start, size, func(id heap.ObjectID) {
-			o := h.Object(id)
+			size := h.Size(id)
 			res.ObjectsTraced++
-			res.BytesTraced += int64(o.Size)
-			res.GCThreadCPU += visitCost(o.Size)
-			stall, terr := h.VM.TouchRange(h.AS, o.Addr, int64(o.Size), false)
+			res.BytesTraced += int64(size)
+			res.GCThreadCPU += visitCost(size)
+			stall, terr := h.VM.TouchRange(h.AS, h.Addr(id), int64(size), false)
 			res.GCFaultStall += stall
 			res.NoteErr(terr)
 			for _, ref := range h.Refs(id) {
-				if ref == heap.NilObject {
-					continue
-				}
-				if h.Object(ref).Live() && h.RegionOf(ref).NewlyAllocated {
+				if h.Live(ref) && h.RegionOf(ref).NewlyAllocated {
 					seeds = append(seeds, ref)
 				}
 			}
@@ -173,7 +170,6 @@ func Minor(h *heap.Heap, rs *RememberedSet, now time.Duration) Result {
 	h.BeginTrace()
 	res.AddTrace(Trace(h, seeds, TraceOpts{
 		ShouldTrace: func(id heap.ObjectID) bool { return h.RegionOf(id).NewlyAllocated },
-		Now:         now,
 	}))
 	SaveSeeds(h, seeds)
 
@@ -200,7 +196,7 @@ func Major(h *heap.Heap, rs *RememberedSet, now time.Duration) Result {
 	res.PauseSTW += FlipPause + time.Duration(len(seeds))*RootScanCPU
 
 	h.BeginTrace()
-	res.AddTrace(Trace(h, seeds, TraceOpts{Now: now}))
+	res.AddTrace(Trace(h, seeds, TraceOpts{}))
 
 	var sparse, dense []*heap.Region
 	h.Regions(func(r *heap.Region) {
@@ -210,9 +206,8 @@ func Major(h *heap.Heap, rs *RememberedSet, now time.Duration) Result {
 		}
 		var live int64
 		for _, id := range r.Objects {
-			o := h.Object(id)
-			if o.Live() && o.Region == r.ID && h.Marked(id) {
-				live += int64(o.Size)
+			if h.Live(id) && h.RegionOf(id) == r && h.Marked(id) {
+				live += int64(h.Size(id))
 			}
 		}
 		if float64(live)/float64(r.Used) < EvacuateLiveRatio {
@@ -241,8 +236,7 @@ func Major(h *heap.Heap, rs *RememberedSet, now time.Duration) Result {
 func collectInPlace(h *heap.Heap, res *Result, r *heap.Region) {
 	kept := r.Objects[:0]
 	for _, id := range r.Objects {
-		o := h.Object(id)
-		if !o.Live() || o.Region != r.ID {
+		if !h.Live(id) || h.RegionOf(id) != r {
 			continue
 		}
 		if h.Marked(id) {
@@ -250,7 +244,7 @@ func collectInPlace(h *heap.Heap, res *Result, r *heap.Region) {
 			continue
 		}
 		res.ObjectsFreed++
-		res.BytesFreed += int64(o.Size)
+		res.BytesFreed += int64(h.Size(id))
 		h.KillObject(id)
 	}
 	r.Objects = kept
@@ -265,13 +259,13 @@ func collectInPlace(h *heap.Heap, res *Result, r *heap.Region) {
 func Evacuate(h *heap.Heap, ev *heap.Evacuator, res *Result, from []*heap.Region, kindOf func(heap.ObjectID) heap.RegionKind) {
 	for _, r := range from {
 		for _, id := range r.Objects {
-			o := h.Object(id)
-			if !o.Live() || o.Region != r.ID {
+			if !h.Live(id) || h.RegionOf(id) != r {
 				continue // stale entry (already moved this cycle)
 			}
+			size := h.Size(id)
 			if !h.Marked(id) {
 				res.ObjectsFreed++
-				res.BytesFreed += int64(o.Size)
+				res.BytesFreed += int64(size)
 				h.KillObject(id)
 				continue
 			}
@@ -281,8 +275,8 @@ func Evacuate(h *heap.Heap, ev *heap.Evacuator, res *Result, from []*heap.Region
 			}
 			ev.Copy(id, kind)
 			res.ObjectsCopied++
-			res.BytesCopied += int64(o.Size)
-			res.GCThreadCPU += CopyCost(o.Size)
+			res.BytesCopied += int64(size)
+			res.GCThreadCPU += CopyCost(size)
 		}
 	}
 	before := ev.Stall

@@ -45,8 +45,6 @@ type TraceOpts struct {
 	// reference stub is consulted instead (Marvin, §2.2/[32]). Nil means
 	// touch every visited object.
 	ShouldTouch func(id heap.ObjectID) bool
-	// Now is the virtual time of the pass (for page-access bookkeeping).
-	Now time.Duration
 }
 
 // Trace marks every object reachable from seeds, honouring opts. Seeds are
@@ -60,34 +58,32 @@ type TraceOpts struct {
 // reentrant for a given heap (one GC thread per runtime, as on the
 // device).
 func Trace(h *heap.Heap, seeds []heap.ObjectID, opts TraceOpts) TraceStats {
-	// The loop reads the heap's struct-of-arrays view directly: a visit
-	// takes its size from the object's mark/size word and its references
-	// from the edge arena, and loads the 40-byte Object record only for
-	// the address of a range it touches. The mark/size table folds
-	// liveness in — dead slots and NilObject hold a sentinel above every
-	// generation, live unmarked slots an older one — so one load and one
-	// compare cover nil, dead and already marked. ShouldTrace is a pure
-	// predicate over heap state, so skipping it for already-marked
+	// The loop reads the heap's hot table directly: a visit takes its
+	// size, address and edge span from the object's one 32-byte hot
+	// record and its references from the edge arena. The mark/size word
+	// folds liveness in — dead slots and NilObject hold a sentinel above
+	// every generation, live unmarked slots an older one — so one load and
+	// one compare cover nil, dead and already marked. ShouldTrace is a
+	// pure predicate over heap state, so skipping it for already-marked
 	// references (which that compare does first) is unobservable.
 	//
 	// Holding the tables across the loop is safe: no callback and no
 	// TouchRange path (reclaim, the pressure killer) allocates an object
-	// or writes a reference on this heap, so neither the mark table, the
-	// span table nor the edge arena moves mid-pass.
+	// or writes a reference on this heap, so neither the hot table nor
+	// the edge arena moves mid-pass.
 	const hi32 uint64 = 0xffffffff_00000000
 	v := h.SoAView()
-	ms, gen, gen64 := v.MarkSize, v.Gen, uint64(v.Gen)
-	spans, edges := v.EdgeSpans, v.Edges
+	hot, gen, gen64, edges := v.Hot, v.Gen, uint64(v.Gen), v.Edges
 	bfs, shouldTrace, shouldTouch, onVisit := opts.BFS, opts.ShouldTrace, opts.ShouldTouch, opts.OnVisit
 	vm, as := h.VM, h.AS
 	scratch := h.Scratch()
 	q := scratch.Queue[:0]
 	for _, id := range seeds {
-		w := ms[id]
-		if uint32(w) >= gen {
+		o := &hot[id]
+		if uint32(o.MarkSize) >= gen {
 			continue // nil, dead or already marked
 		}
-		ms[id] = w&hi32 | gen64
+		o.MarkSize = o.MarkSize&hi32 | gen64
 		q = append(q, id)
 	}
 
@@ -119,14 +115,15 @@ func Trace(h *heap.Heap, seeds []heap.ObjectID, opts TraceOpts) TraceStats {
 			id = q[n-1]
 			q = q[:n-1]
 		}
-		size := int32(ms[uint32(id)] >> 32)
+		size := int32(hot[uint32(id)].MarkSize >> 32)
 		st.ObjectsTraced++
 		st.BytesTraced += int64(size)
 		st.CPU += visitCost(size)
 		if shouldTouch == nil || shouldTouch(id) {
-			// The size is read again rather than kept live across the
+			// The record is indexed again rather than kept live across the
 			// ShouldTouch call, which would spill it on every visit.
-			s, err := vm.TouchRange(as, h.Object(id).Addr, int64(ms[uint32(id)]>>32), false)
+			o := &hot[uint32(id)]
+			s, err := vm.TouchRange(as, o.Addr, int64(o.MarkSize>>32), false)
 			st.FaultStall += s
 			if err != nil && st.Err == nil {
 				st.Err = err
@@ -135,10 +132,10 @@ func Trace(h *heap.Heap, seeds []heap.ObjectID, opts TraceOpts) TraceStats {
 		if onVisit != nil {
 			onVisit(id, depth)
 		}
-		s := spans[uint32(id)]
+		s := hot[uint32(id)].Span
 		off := s >> 32
 		for _, ref := range edges[off : off+(s&0xffffffff)] {
-			w := ms[uint32(ref)]
+			w := hot[uint32(ref)].MarkSize
 			if uint32(w) >= gen {
 				continue // nil, dead or already marked
 			}
@@ -146,7 +143,7 @@ func Trace(h *heap.Heap, seeds []heap.ObjectID, opts TraceOpts) TraceStats {
 			// by fiat, so evacuation sees it, but is never touched or
 			// descended into.
 			descend := shouldTrace == nil || shouldTrace(ref)
-			ms[uint32(ref)] = w&hi32 | gen64
+			hot[uint32(ref)].MarkSize = w&hi32 | gen64
 			if descend {
 				q = append(q, ref)
 			}
@@ -203,7 +200,7 @@ func Depths(h *heap.Heap) DepthTable {
 	}
 	queue := scratch.Queue[:0]
 	for _, id := range h.Roots() {
-		if id != heap.NilObject && h.Object(id).Live() && depths[id] == Unreachable {
+		if h.Live(id) && depths[id] == Unreachable {
 			depths[id] = 0
 			queue = append(queue, id)
 		}
@@ -212,7 +209,7 @@ func Depths(h *heap.Heap) DepthTable {
 		id := queue[head]
 		d := depths[id]
 		for _, ref := range h.Refs(id) {
-			if ref == heap.NilObject || !h.Object(ref).Live() {
+			if !h.Live(ref) {
 				continue
 			}
 			if depths[ref] == Unreachable {

@@ -2,6 +2,7 @@ package heap
 
 import (
 	"testing"
+	"time"
 
 	"fleetsim/internal/mem"
 	"fleetsim/internal/units"
@@ -56,5 +57,55 @@ func BenchmarkHeapBuild(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkHeapAccess measures the mutator's object access: each op is one
+// Access, a read or (three times in ten) a write, of a seeded random live
+// object on a vmem-mapped heap of 64k objects with the Fig. 7 size
+// distribution, on a manager with DRAM to spare so every touched page is
+// resident. Before timing, four rounds each kill a random half of the
+// live objects and allocate as many fresh ones, so IDs are recycled and
+// no longer follow allocation (address) order, as on a heap that has run
+// through collections.
+func BenchmarkHeapAccess(b *testing.B) {
+	const nObjects, rounds, nAccesses = 1 << 16, 4, 1 << 16
+	r := xrand.New(1)
+	size := func() int32 { return min(max(int32(r.LogNormal(3.9, 1.1)), 16), 16*1024) }
+	vm := vmem.NewManager(mem.NewPhysical(units.GiB), vmem.NewSwapDevice(vmem.DefaultSwapConfig()))
+	h := New(mem.NewAddressSpace("bench"), vm)
+	live := make([]ObjectID, 0, nObjects)
+	for len(live) < nObjects {
+		id, _, _ := h.Alloc(size(), EpochForeground, 0)
+		live = append(live, id)
+	}
+	for round := 0; round < rounds; round++ {
+		kept := live[:0]
+		for _, id := range live {
+			if r.Bool(0.5) {
+				h.KillObject(id)
+			} else {
+				kept = append(kept, id)
+			}
+		}
+		live = kept
+		for len(live) < nObjects {
+			id, _, _ := h.Alloc(size(), EpochForeground, 0)
+			live = append(live, id)
+		}
+	}
+	ids := make([]ObjectID, nAccesses)
+	writes := make([]bool, nAccesses)
+	for i := range ids {
+		ids[i] = live[r.Intn(len(live))]
+		writes[i] = r.Bool(0.3)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i & (nAccesses - 1)
+		if _, err := h.Access(ids[j], writes[j], time.Duration(i)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

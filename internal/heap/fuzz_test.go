@@ -144,6 +144,7 @@ func runRandomOps(t *testing.T, seed uint64, growAt int) *Heap {
 				live = []ObjectID{root}
 			}
 		}
+		placementInvariant(t, h, step)
 		if step%500 == 499 {
 			heapInvariants(t, h)
 		}
@@ -153,31 +154,60 @@ func runRandomOps(t *testing.T, seed uint64, growAt int) *Heap {
 }
 
 // sameHeap fails the test unless got holds exactly want's state: every
-// object record, every slot's Refs view and arena span, the edge arena
-// itself, the root list, the mark/size words, the mark generation and
-// Stats. Capacity is the only thing allowed to differ.
+// hot and cold record, every slot's edge capacity and Refs view, the edge
+// arena itself, the root list, the mark generation and Stats. Capacity is
+// the only thing allowed to differ.
 func sameHeap(t *testing.T, want, got *Heap) {
 	t.Helper()
-	if !slices.Equal(want.objects, got.objects) {
-		t.Fatal("object records differ")
+	if !slices.Equal(want.hot, got.hot) || want.markGen != got.markGen {
+		t.Fatal("hot records differ")
 	}
-	for id := range want.objects {
+	if !slices.Equal(want.cold, got.cold) {
+		t.Fatal("cold records differ")
+	}
+	for id := range want.hot {
 		if !slices.Equal(want.Refs(ObjectID(id)), got.Refs(ObjectID(id))) {
 			t.Fatalf("Refs(%d) differ: %v vs %v", id, want.Refs(ObjectID(id)), got.Refs(ObjectID(id)))
 		}
 	}
-	if !slices.Equal(want.espan, got.espan) || !slices.Equal(want.ecap, got.ecap) ||
-		!slices.Equal(want.edges, got.edges) || want.edgeWaste != got.edgeWaste {
+	if !slices.Equal(want.ecap, got.ecap) || !slices.Equal(want.edges, got.edges) ||
+		want.edgeWaste != got.edgeWaste {
 		t.Fatal("edge arenas differ")
 	}
 	if !slices.Equal(want.Roots(), got.Roots()) {
 		t.Fatalf("roots differ: %v vs %v", want.Roots(), got.Roots())
 	}
-	if !slices.Equal(want.msize, got.msize) || want.markGen != got.markGen {
-		t.Fatal("mark/size words differ")
-	}
 	if want.Stats() != got.Stats() {
 		t.Fatalf("stats differ: %+v vs %+v", want.Stats(), got.Stats())
+	}
+}
+
+// placementInvariant checks what deriving an object's region from its
+// address relies on: every live object's region, RegionOf(id), is in
+// use, contains the object's whole range [Addr, Addr+Size) within its
+// used span and its RegionSize bytes, and names id in its Objects list.
+func placementInvariant(t *testing.T, h *Heap, step int) {
+	t.Helper()
+	listed := make([]bool, h.ObjectTableSize())
+	h.Regions(func(r *Region) {
+		for _, id := range r.Objects {
+			if h.RegionOf(id) == r {
+				listed[id] = true
+			}
+		}
+	})
+	for id := ObjectID(1); int(id) < h.ObjectTableSize(); id++ {
+		if !h.Live(id) {
+			continue
+		}
+		r, addr, end := h.RegionOf(id), h.Addr(id), h.Addr(id)+int64(h.Size(id))
+		if r.Free() || addr < r.Base || end > r.Base+min(r.Used, units.RegionSize) {
+			t.Fatalf("step %d: object %d spans [%d,%d), outside region %d's used span [%d,%d) (free %v)",
+				step, id, addr, end, r.ID, r.Base, r.Base+r.Used, r.Free())
+		}
+		if !listed[id] {
+			t.Fatalf("step %d: region %d does not list object %d", step, r.ID, id)
+		}
 	}
 }
 

@@ -83,14 +83,12 @@ func (k RegionKind) String() string {
 	}
 }
 
-// Object is one Java object. The record is the home of every object field;
-// only Size and liveness are mirrored, in the heap's dense mark/size table
-// (see soa.go) that the trace hot path reads instead of these records.
-// Alloc and KillObject keep the two in step.
-//
-// The record holds no pointer (references live in the heap's edge arena,
-// read through Heap.Refs), so the Go collector never scans an object table;
-// fields are ordered widest first so it packs without padding holes.
+// Object is one Java object's state, assembled by Heap.Object from the
+// heap's two per-object records (see soa.go): the hot record every
+// per-object hot path reads, and the cold record only allocation-order and
+// lifetime analysis read. Analysis code, digests and checkers read this
+// value; hot paths use the Heap accessors (Live, Size, Addr, LastAccess,
+// RegionOf), which read the hot record alone.
 type Object struct {
 	Seq  uint64 // monotonic allocation sequence number ("object ID" in Fig. 4)
 	Addr int64  // current virtual address (changes on evacuation)
@@ -105,14 +103,11 @@ type Object struct {
 
 	Epoch Epoch
 
-	// Pinned objects are never evacuated (Marvin stubs, class metadata).
-	Pinned bool
-
 	live bool
 }
 
-// Live reports whether the slot currently holds a live object.
-func (o *Object) Live() bool { return o.live }
+// Live reports whether the slot held a live object when o was assembled.
+func (o Object) Live() bool { return o.live }
 
 // Region is a 256 KB heap region with bump-pointer allocation.
 type Region struct {
@@ -158,24 +153,20 @@ type Heap struct {
 	AS *mem.AddressSpace
 	VM *vmem.Manager
 
-	objects  []Object
+	// hot and cold are the per-object records, indexed by ObjectID and
+	// grown in lockstep with ecap (see soa.go). hot holds everything the
+	// per-object hot paths read; cold holds the rest.
+	hot      []HotRecord
+	cold     []coldRecord
 	freeObjs []ObjectID
-
-	// msize is the dense mark/size table, indexed by ObjectID and grown in
-	// lockstep with objects. It is the only home of the mark generation
-	// (low 32 bits) and packs it with the object's byte size (high 32):
-	// the trace loop's mark check and size read become one load.
-	msize []uint64
 
 	// CSR edge arena: every object's outgoing references live in one
 	// shared backing array; object id owns the span
 	// edges[off : off+len] with capacity ecap[id], where off and len are
-	// packed into espan[id] (off<<32 | len) so the trace hot loop reads
-	// one word per object instead of two parallel arrays.
-	// edgeWaste counts orphaned slots left behind by span relocation;
-	// compaction (soa.go) rewrites the arena when it dominates.
+	// packed into hot[id].Span (off<<32 | len). edgeWaste counts orphaned
+	// slots left behind by span relocation; compaction (soa.go) rewrites
+	// the arena when it dominates.
 	edges     []ObjectID
-	espan     []uint64
 	ecap      []int32
 	edgeWaste int64
 
@@ -232,10 +223,9 @@ func New(as *mem.AddressSpace, vm *vmem.Manager) *Heap {
 	h := &Heap{AS: as, VM: vm}
 	// Reserve slot 0 as NilObject (never live; its deadMark entry makes the
 	// trace loops' single-compare mark test skip nil references).
-	h.objects = append(h.objects, Object{})
 	h.rootPos = append(h.rootPos, 0)
-	h.growSoA()
-	h.msize[NilObject] = uint64(deadMark)
+	h.growTables()
+	h.hot[NilObject].MarkSize = uint64(deadMark)
 	return h
 }
 
@@ -278,11 +268,34 @@ func (h *Heap) NoteGCComplete() {
 	h.allocRegion = nil
 }
 
-// Object returns the object record for id. The pointer stays valid until
-// the object dies.
-func (h *Heap) Object(id ObjectID) *Object {
-	return &h.objects[id]
+// Object assembles id's state from its hot and cold records. It is a
+// copy: it does not follow later mutation or evacuation.
+func (h *Heap) Object(id ObjectID) Object {
+	o, c := &h.hot[id], &h.cold[id]
+	return Object{
+		Seq:        c.Seq,
+		Addr:       o.Addr,
+		LastAccess: o.LastAccess,
+		Size:       int32(o.MarkSize >> 32),
+		Region:     int32(o.Addr / units.RegionSize),
+		AllocGC:    c.AllocGC,
+		Epoch:      c.Epoch,
+		live:       uint32(o.MarkSize) != deadMark,
+	}
 }
+
+// Live reports whether the slot id currently holds a live object.
+func (h *Heap) Live(id ObjectID) bool { return uint32(h.hot[id].MarkSize) != deadMark }
+
+// Size returns id's size in bytes, including its header.
+func (h *Heap) Size(id ObjectID) int32 { return int32(h.hot[id].MarkSize >> 32) }
+
+// Addr returns id's current virtual address (it changes on evacuation).
+func (h *Heap) Addr(id ObjectID) int64 { return h.hot[id].Addr }
+
+// LastAccess returns the virtual time of id's most recent mutator access
+// (or of its allocation, if it was never accessed).
+func (h *Heap) LastAccess(id ObjectID) time.Duration { return h.hot[id].LastAccess }
 
 // LiveObjects returns the number of live objects.
 func (h *Heap) LiveObjects() int64 { return h.stats.LiveObjects }
@@ -292,10 +305,10 @@ func (h *Heap) LiveObjects() int64 { return h.stats.LiveObjects }
 // allocation history, so walkers that fold object state into digests or
 // validate accounting (internal/faults, internal/snapshot) see a canonical
 // sequence.
-func (h *Heap) ForEachLiveObject(fn func(ObjectID, *Object)) {
-	for i := 1; i < len(h.objects); i++ {
-		if h.objects[i].live {
-			fn(ObjectID(i), &h.objects[i])
+func (h *Heap) ForEachLiveObject(fn func(ObjectID, Object)) {
+	for i := 1; i < len(h.hot); i++ {
+		if h.Live(ObjectID(i)) {
+			fn(ObjectID(i), h.Object(ObjectID(i)))
 		}
 	}
 }
@@ -303,7 +316,7 @@ func (h *Heap) ForEachLiveObject(fn func(ObjectID, *Object)) {
 // ObjectTableSize returns the size of the object table (one past the
 // largest ObjectID ever issued); collectors use it to size side tables
 // indexed by ObjectID.
-func (h *Heap) ObjectTableSize() int { return len(h.objects) }
+func (h *Heap) ObjectTableSize() int { return len(h.hot) }
 
 // LiveBytes returns the total size of live objects.
 func (h *Heap) LiveBytes() int64 { return h.stats.LiveBytes }
@@ -348,9 +361,11 @@ func (h *Heap) RegionAt(addr int64) *Region {
 	return h.regions[addr/units.RegionSize]
 }
 
-// RegionOf returns the region currently holding object id.
+// RegionOf returns the region currently holding object id: the region its
+// address lies in. Alloc and Evacuator.Copy place an object's whole range
+// inside one region, so no region ID is stored.
 func (h *Heap) RegionOf(id ObjectID) *Region {
-	return h.regions[h.objects[id].Region]
+	return h.RegionAt(h.hot[id].Addr)
 }
 
 // ForEachObjectOverlapping visits region r's live objects overlapping
@@ -362,15 +377,15 @@ func (h *Heap) RegionOf(id ObjectID) *Region {
 func (h *Heap) ForEachObjectOverlapping(r *Region, start, size int64, fn func(ObjectID)) {
 	objs := r.Objects
 	lo := sort.Search(len(objs), func(i int) bool {
-		o := &h.objects[objs[i]]
-		return o.Addr+int64(o.Size) > start
+		o := &h.hot[objs[i]]
+		return o.Addr+int64(o.MarkSize>>32) > start
 	})
 	for _, id := range objs[lo:] {
-		o := &h.objects[id]
+		o := &h.hot[id]
 		if o.Addr >= start+size {
 			break
 		}
-		if o.live && o.Region == r.ID {
+		if uint32(o.MarkSize) != deadMark && h.RegionAt(o.Addr) == r {
 			fn(id)
 		}
 	}
@@ -424,24 +439,16 @@ func (h *Heap) Alloc(size int32, epoch Epoch, now time.Duration) (ObjectID, time
 		id = h.freeObjs[n-1]
 		h.freeObjs = h.freeObjs[:n-1]
 	} else {
-		h.objects = append(h.objects, Object{})
-		h.growSoA()
-		id = ObjectID(len(h.objects) - 1)
+		h.growTables()
+		id = ObjectID(len(h.hot) - 1)
 	}
 	h.seq++
-	// Reuse the dead tenant's arena span (capacity kept, length reset).
-	h.espan[id] &= spanOffMask
-	h.objects[id] = Object{
-		Seq:        h.seq,
-		Size:       size,
-		Addr:       addr,
-		Region:     r.ID,
-		Epoch:      epoch,
-		AllocGC:    h.stats.GCCount,
-		LastAccess: now,
-		live:       true,
-	}
-	h.msize[id] = uint64(uint32(size)) << 32 // mark cleared
+	o := &h.hot[id]
+	o.MarkSize = uint64(uint32(size)) << 32 // mark cleared: live
+	o.Span &= spanOffMask                   // reuse the dead tenant's span, length reset
+	o.Addr = addr
+	o.LastAccess = now
+	h.cold[id] = coldRecord{Seq: h.seq, AllocGC: h.stats.GCCount, Epoch: epoch}
 	r.Objects = append(r.Objects, id)
 
 	h.stats.Allocated++
@@ -500,8 +507,8 @@ func (h *Heap) RootSlice() []ObjectID {
 // touched, barriers and samplers fire, and the synchronous stall is
 // returned.
 func (h *Heap) Access(id ObjectID, write bool, now time.Duration) (time.Duration, error) {
-	o := &h.objects[id]
-	if !o.live {
+	o := &h.hot[id]
+	if uint32(o.MarkSize) == deadMark {
 		return 0, fmt.Errorf("%w: access to %d", ErrDeadObject, id)
 	}
 	o.LastAccess = now
@@ -512,7 +519,7 @@ func (h *Heap) Access(id ObjectID, write bool, now time.Duration) (time.Duration
 	if h.ReadBarrier != nil {
 		h.ReadBarrier(id)
 	}
-	stall, err := h.VM.TouchRange(h.AS, o.Addr, int64(o.Size), write)
+	stall, err := h.VM.TouchRange(h.AS, o.Addr, int64(o.MarkSize>>32), write)
 	if write && err == nil {
 		if h.WriteBarrier != nil {
 			h.WriteBarrier(id)
@@ -524,7 +531,7 @@ func (h *Heap) Access(id ObjectID, write bool, now time.Duration) (time.Duration
 // SetRef points from's i-th reference slot at to (growing the slot list as
 // needed), running the write barrier. It returns the page-touch stall.
 func (h *Heap) SetRef(from ObjectID, i int, to ObjectID, now time.Duration) (time.Duration, error) {
-	if !h.objects[from].live {
+	if !h.Live(from) {
 		return 0, fmt.Errorf("%w: SetRef on %d", ErrDeadObject, from)
 	}
 	h.setEdge(from, i, to)
@@ -533,7 +540,7 @@ func (h *Heap) SetRef(from ObjectID, i int, to ObjectID, now time.Duration) (tim
 
 // AddRef appends a reference from → to.
 func (h *Heap) AddRef(from, to ObjectID, now time.Duration) (time.Duration, error) {
-	if !h.objects[from].live {
+	if !h.Live(from) {
 		return 0, fmt.Errorf("%w: AddRef on %d", ErrDeadObject, from)
 	}
 	h.appendEdge(from, to)
@@ -543,36 +550,37 @@ func (h *Heap) AddRef(from, to ObjectID, now time.Duration) (time.Duration, erro
 // ClearRefs drops all outgoing references of from (the workload's way of
 // making a subgraph unreachable).
 func (h *Heap) ClearRefs(from ObjectID, now time.Duration) (time.Duration, error) {
-	if !h.objects[from].live {
+	if !h.Live(from) {
 		return 0, fmt.Errorf("%w: ClearRefs on %d", ErrDeadObject, from)
 	}
-	h.espan[from] &= spanOffMask
+	h.hot[from].Span &= spanOffMask
 	return h.Access(from, true, now)
 }
 
 // Marked reports whether id is marked in the current trace generation.
-func (h *Heap) Marked(id ObjectID) bool { return uint32(h.msize[id]) == h.markGen }
+func (h *Heap) Marked(id ObjectID) bool { return uint32(h.hot[id].MarkSize) == h.markGen }
 
 // Mark marks id in the current generation; returns true if it was newly
-// marked.
+// marked. A dead slot is never marked: its deadMark is its liveness.
 func (h *Heap) Mark(id ObjectID) bool {
-	w := h.msize[id]
-	if uint32(w) == h.markGen {
-		return false
+	o := &h.hot[id]
+	if uint32(o.MarkSize) >= h.markGen {
+		return false // already marked, or dead
 	}
-	h.msize[id] = w&spanOffMask | uint64(h.markGen)
+	o.MarkSize = o.MarkSize&spanOffMask | uint64(h.markGen)
 	return true
 }
 
-// BeginTrace starts a new mark generation.
+// BeginTrace starts a new mark generation. It never issues deadMark as a
+// generation, so marking cannot make a dead slot read as live.
 func (h *Heap) BeginTrace() {
 	h.markGen++
 	if h.markGen == deadMark {
 		// Generation wrap (after ~4B traces): stale marks would read as
 		// current or dead. Reset every non-dead slot and restart at 1.
-		for i, w := range h.msize {
-			if uint32(w) != deadMark {
-				h.msize[i] = w & spanOffMask
+		for i := range h.hot {
+			if o := &h.hot[i]; uint32(o.MarkSize) != deadMark {
+				o.MarkSize &= spanOffMask
 			}
 		}
 		h.markGen = 1
@@ -581,14 +589,13 @@ func (h *Heap) BeginTrace() {
 
 // KillObject frees an object slot (collector-internal).
 func (h *Heap) KillObject(id ObjectID) {
-	o := &h.objects[id]
-	if !o.live {
+	o := &h.hot[id]
+	if uint32(o.MarkSize) == deadMark {
 		return
 	}
-	o.live = false
-	h.msize[id] = h.msize[id]&spanOffMask | uint64(deadMark)
+	o.MarkSize = o.MarkSize&spanOffMask | uint64(deadMark)
 	h.stats.LiveObjects--
-	h.stats.LiveBytes -= int64(o.Size)
+	h.stats.LiveBytes -= int64(o.MarkSize >> 32)
 	h.freeObjs = append(h.freeObjs, id)
 }
 
@@ -655,11 +662,8 @@ func (h *Heap) NewEvacuator() *Evacuator {
 // whose read barrier forwards pointers).
 func (ev *Evacuator) Copy(id ObjectID, kind RegionKind) {
 	h := ev.h
-	o := &h.objects[id]
-	if o.Pinned {
-		return
-	}
-	need := int64(o.Size)
+	o := &h.hot[id]
+	need := int64(o.MarkSize >> 32)
 	r := ev.to[kind]
 	if r == nil || r.BytesFree() < need {
 		r = h.newRegion(kind)
@@ -672,12 +676,11 @@ func (ev *Evacuator) Copy(id ObjectID, kind RegionKind) {
 	addr := r.Base + r.Used
 	r.Used += need
 	o.Addr = addr
-	o.Region = r.ID
 	r.Objects = append(r.Objects, id)
 	if ev.PinDest {
-		ev.batch.TouchPin(h.AS, addr, int64(o.Size), true)
+		ev.batch.TouchPin(h.AS, addr, need, true)
 	} else {
-		ev.batch.Touch(h.AS, addr, int64(o.Size), true)
+		ev.batch.Touch(h.AS, addr, need, true)
 	}
 }
 

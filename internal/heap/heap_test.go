@@ -166,16 +166,18 @@ func TestClearRefsOnDeadObject(t *testing.T) {
 	}
 }
 
-// TestObjectRecordLayout pins the object record at 40 pointer-free bytes.
-// A field that can hold a pointer would put every app's object table back
-// under the Go collector's scan, and a wider record grows every table.
+// TestObjectRecordLayout pins the per-object records: the hot record at
+// 32 pointer-free bytes, so it never straddles a cache line, and the cold
+// record at 16. A field that can hold a pointer would put every app's
+// object tables back under the Go collector's scan, and a wider record
+// grows every table.
 func TestObjectRecordLayout(t *testing.T) {
 	var walk func(path string, typ reflect.Type)
 	walk = func(path string, typ reflect.Type) {
 		switch typ.Kind() {
 		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.String,
 			reflect.Interface, reflect.Func, reflect.Chan, reflect.UnsafePointer:
-			t.Errorf("%s is a %s: Object must hold no pointer", path, typ.Kind())
+			t.Errorf("%s is a %s: object records must hold no pointer", path, typ.Kind())
 		case reflect.Struct:
 			for i := 0; i < typ.NumField(); i++ {
 				f := typ.Field(i)
@@ -185,9 +187,52 @@ func TestObjectRecordLayout(t *testing.T) {
 			walk(path+"[]", typ.Elem())
 		}
 	}
-	walk("Object", reflect.TypeOf(Object{}))
-	if got := unsafe.Sizeof(Object{}); got != 40 {
-		t.Errorf("unsafe.Sizeof(Object{}) = %d, want 40", got)
+	walk("HotRecord", reflect.TypeOf(HotRecord{}))
+	walk("coldRecord", reflect.TypeOf(coldRecord{}))
+	if got := unsafe.Sizeof(HotRecord{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(HotRecord{}) = %d, want 32", got)
+	}
+	if got := unsafe.Sizeof(coldRecord{}); got != 16 {
+		t.Errorf("unsafe.Sizeof(coldRecord{}) = %d, want 16", got)
+	}
+}
+
+// TestDerivedFields checks the fields the heap derives instead of
+// storing: liveness from the mark (a dead slot is never marked live
+// again, by Mark or by a new generation), size from the mark/size word,
+// and region from the address, through allocation, evacuation, death and
+// slot recycling.
+func TestDerivedFields(t *testing.T) {
+	h := newTestHeap()
+	a, _, _ := h.Alloc(300, EpochForeground, 0)
+	if !h.Live(a) || h.Size(a) != 300 || h.RegionOf(a) != h.RegionAt(h.Addr(a)) {
+		t.Fatalf("fresh object: live %v size %d", h.Live(a), h.Size(a))
+	}
+	ev := h.NewEvacuator()
+	ev.Copy(a, KindCold)
+	ev.Finish()
+	if r := h.RegionOf(a); r.Kind != KindCold || h.Object(a).Region != r.ID || h.Size(a) != 300 {
+		t.Errorf("after Copy: region %d kind %v, Object().Region %d, size %d",
+			r.ID, r.Kind, h.Object(a).Region, h.Size(a))
+	}
+	h.BeginTrace()
+	h.KillObject(a)
+	if h.Live(a) || h.Object(a).Live() {
+		t.Fatal("killed object reads live")
+	}
+	if h.Mark(a) || h.Marked(a) || h.Live(a) {
+		t.Error("Mark revived a dead slot")
+	}
+	h.BeginTrace()
+	if h.Live(a) {
+		t.Error("a new generation revived a dead slot")
+	}
+	if h.Live(NilObject) {
+		t.Error("NilObject reads live")
+	}
+	b, _, _ := h.Alloc(40, EpochBackground, time.Second)
+	if b != a || !h.Live(b) || h.Size(b) != 40 || h.LastAccess(b) != time.Second {
+		t.Errorf("recycled slot %d: live %v size %d last access %v", b, h.Live(b), h.Size(b), h.LastAccess(b))
 	}
 }
 
@@ -380,18 +425,6 @@ func TestEvacuatorGroupsByKind(t *testing.T) {
 	}
 }
 
-func TestEvacuatorSkipsPinned(t *testing.T) {
-	h := newTestHeap()
-	id, _, _ := h.Alloc(100, EpochForeground, 0)
-	h.Object(id).Pinned = true
-	addr := h.Object(id).Addr
-	ev := h.NewEvacuator()
-	ev.Copy(id, KindCold)
-	if h.Object(id).Addr != addr {
-		t.Error("pinned object must not move")
-	}
-}
-
 func TestHeapBytes(t *testing.T) {
 	h := newTestHeap()
 	h.Alloc(100, EpochForeground, 0)
@@ -434,18 +467,17 @@ func TestGrowKeepsTablesInPlace(t *testing.T) {
 	h := newTestHeap()
 	prev, _, _ := h.Alloc(64, EpochForeground, 0)
 	h.AddRoot(prev)
-	objects, edges := len(h.objects), len(h.edges)
+	objects, edges := len(h.hot), len(h.edges)
 
 	h.Grow(n, 2*n)
-	if len(h.objects) != objects || len(h.msize) != objects || len(h.espan) != objects ||
-		len(h.ecap) != objects || len(h.edges) != edges {
+	if len(h.hot) != objects || len(h.cold) != objects || len(h.ecap) != objects ||
+		len(h.edges) != edges {
 		t.Fatal("Grow changed a table's length")
 	}
-	arrays := func() [5]uintptr {
-		return [5]uintptr{
-			uintptr(unsafe.Pointer(unsafe.SliceData(h.objects))),
-			uintptr(unsafe.Pointer(unsafe.SliceData(h.msize))),
-			uintptr(unsafe.Pointer(unsafe.SliceData(h.espan))),
+	arrays := func() [4]uintptr {
+		return [4]uintptr{
+			uintptr(unsafe.Pointer(unsafe.SliceData(h.hot))),
+			uintptr(unsafe.Pointer(unsafe.SliceData(h.cold))),
 			uintptr(unsafe.Pointer(unsafe.SliceData(h.ecap))),
 			uintptr(unsafe.Pointer(unsafe.SliceData(h.edges))),
 		}
@@ -459,9 +491,9 @@ func TestGrowKeepsTablesInPlace(t *testing.T) {
 		h.AddRef(prev, id, 0)
 		prev = id
 	}
-	if len(h.objects) != objects+n || len(h.edges) != edges+2*n {
+	if len(h.hot) != objects+n || len(h.edges) != edges+2*n {
 		t.Fatalf("chain used %d objects and %d edge slots, want %d and %d",
-			len(h.objects)-objects, len(h.edges)-edges, n, 2*n)
+			len(h.hot)-objects, len(h.edges)-edges, n, 2*n)
 	}
 	if after := arrays(); after != before {
 		t.Errorf("a table moved within its reservation: %x -> %x", before, after)

@@ -1,20 +1,27 @@
 package heap
 
-import "slices"
+import (
+	"slices"
+	"time"
+)
 
-// This file holds the struct-of-arrays side of the heap: the dense
-// per-object mark/size table and the CSR edge arena that holds every
-// object's outgoing references. The layout exists for the GC trace hot
-// path: a mark pass over the SoA view reads a few bytes per object from
-// contiguous tables instead of loading scattered 40-byte Object records.
-// Keeping references out of the records also keeps every object table
-// pointer-free, so the Go collector never scans one.
+// This file holds the heap's per-object tables and the CSR edge arena
+// that holds every object's outgoing references. Each object has a
+// HotRecord (everything the per-object hot paths read), a coldRecord
+// (read only by Heap.Object) and its span capacity in ecap. Liveness,
+// size and region are derived, not stored: an object is live iff its mark
+// is not deadMark, its size is the high half of its mark/size word, and
+// its region is the one its address lies in (the heap is the sole
+// reserver of its address space, so region i spans
+// [i·RegionSize, (i+1)·RegionSize)). Keeping references out of the
+// records keeps every table pointer-free, so the Go collector never scans
+// one.
 //
 // Edge-arena invariants:
 //
 //   - Object id owns edges[off : off+ecap[id]], where off lives in the
-//     high half of the packed span word espan[id] (off<<32 | len); the
-//     first len entries are its references. Spans of distinct slots never
+//     high half of its span word hot[id].Span (off<<32 | len); the first
+//     len entries are its references. Spans of distinct slots never
 //     overlap.
 //   - Nothing keeps a pointer into the arena: Heap.Refs hands out a
 //     three-index view of a span (edges[off : off+len : off+ecap]) that
@@ -34,17 +41,42 @@ import "slices"
 // All of this is deterministic in the operation history, so two replays of
 // the same seed compact at the same moments and digests stay bitwise equal.
 
+// HotRecord is the part of an object's state the per-object hot paths
+// read: a trace visit, a mutator access, an allocation or an evacuation
+// loads this one 32-byte record, which never straddles a cache line, and
+// nothing else about the object.
+type HotRecord struct {
+	// MarkSize packs the object's byte size (high 32 bits) with its mark
+	// generation (low 32). Dead slots and NilObject hold deadMark in the
+	// mark half, so liveness needs no field of its own.
+	MarkSize uint64
+	// Span is the object's edge span: off<<32 | len, its references
+	// Edges[off : off+len].
+	Span uint64
+	// Addr is the current virtual address (it changes on evacuation).
+	Addr int64
+	// LastAccess is the virtual time of the most recent mutator access.
+	LastAccess time.Duration
+}
+
+// coldRecord is the rest of an object's state, read only by Heap.Object.
+type coldRecord struct {
+	Seq     uint64 // allocation sequence number
+	AllocGC int32  // heap GC count at allocation
+	Epoch   Epoch
+}
+
 // minSpanCap is the smallest capacity a non-empty span gets. Two covers
 // the typical object (one or two outgoing references) while keeping the
 // arena — and with it the trace loop's cache footprint — half the size a
 // four-slot floor would give.
 const minSpanCap = 2
 
-// deadMark is the mark-table sentinel for dead slots (and NilObject). It
+// deadMark is the mark sentinel for dead slots (and NilObject). It
 // compares above every live generation, so trace loops can fold the
-// nil/dead/already-marked checks into one `marks[id] >= gen` compare.
-// KillObject sets it, Alloc clears it, and BeginTrace skips the value when
-// the generation counter wraps.
+// nil/dead/already-marked checks into one `mark >= gen` compare. KillObject
+// sets it, Alloc clears it, and BeginTrace never issues it as a
+// generation; an object is live iff its mark is not deadMark.
 const deadMark = ^uint32(0)
 
 // spanOffMask keeps the high half of a packed word: the offset of a span
@@ -52,14 +84,14 @@ const deadMark = ^uint32(0)
 // word (| installs a new mark generation).
 const spanOffMask uint64 = 0xffffffff_00000000
 
-// packSpan packs a span offset and length into one espan word.
+// packSpan packs a span offset and length into one span word.
 func packSpan(off, n int32) uint64 {
 	return uint64(uint32(off))<<32 | uint64(uint32(n))
 }
 
-// span unpacks espan[id].
+// span unpacks hot[id].Span.
 func (h *Heap) span(id ObjectID) (off, n int32) {
-	v := h.espan[id]
+	v := h.hot[id].Span
 	return int32(v >> 32), int32(uint32(v))
 }
 
@@ -67,21 +99,20 @@ func (h *Heap) span(id ObjectID) (off, n int32) {
 // the rewrite.
 const compactMinArena = 4096
 
-// growSoA appends one zeroed entry to every dense table, keeping them in
-// lockstep with the object table (len(objects) has already been grown by
-// the caller). The common case reslices within capacity: fresh backing
-// memory is zeroed by the runtime and slots past len are never written,
-// so extending the length exposes a zero entry without any stores.
-func (h *Heap) growSoA() {
-	n := len(h.objects)
-	if n <= cap(h.msize) && n <= cap(h.espan) && n <= cap(h.ecap) {
-		h.msize = h.msize[:n]
-		h.espan = h.espan[:n]
+// growTables appends one zeroed entry to every per-object table. The
+// common case reslices within capacity: fresh backing memory is zeroed by
+// the runtime and slots past len are never written, so extending the
+// length exposes a zero entry without any stores.
+func (h *Heap) growTables() {
+	n := len(h.hot) + 1
+	if n <= cap(h.hot) && n <= cap(h.cold) && n <= cap(h.ecap) {
+		h.hot = h.hot[:n]
+		h.cold = h.cold[:n]
 		h.ecap = h.ecap[:n]
 		return
 	}
-	h.msize = append(h.msize, 0)
-	h.espan = append(h.espan, 0)
+	h.hot = append(h.hot, HotRecord{})
+	h.cold = append(h.cold, coldRecord{})
 	h.ecap = append(h.ecap, 0)
 }
 
@@ -93,14 +124,12 @@ func (h *Heap) growSoA() {
 // changes. Like any allocation, it invalidates Refs views and SoA views.
 //
 // Capacity stays unobservable because the new arrays come from the
-// runtime zeroed: growSoA's reslice path exposes dense-table entries past
-// len without storing to them, so an entry left over from earlier use
-// would hand a new object a stale span. Never hand these tables reused
-// memory.
+// runtime zeroed: growTables' reslice path exposes entries past len
+// without storing to them, so an entry left over from earlier use would
+// hand a new object a stale span. Never hand these tables reused memory.
 func (h *Heap) Grow(objects, edges int) {
-	h.objects = slices.Grow(h.objects, objects)
-	h.msize = slices.Grow(h.msize, objects)
-	h.espan = slices.Grow(h.espan, objects)
+	h.hot = slices.Grow(h.hot, objects)
+	h.cold = slices.Grow(h.cold, objects)
 	h.ecap = slices.Grow(h.ecap, objects)
 	h.edges = slices.Grow(h.edges, edges)
 }
@@ -124,7 +153,7 @@ func (h *Heap) appendEdge(id, to ObjectID) {
 	}
 	off, _ := h.span(id)
 	h.edges[off+n] = to
-	h.espan[id] = packSpan(off, n+1)
+	h.hot[id].Span = packSpan(off, n+1)
 }
 
 // setEdge writes id's i-th reference slot, NilObject-filling any gap. Gap
@@ -141,7 +170,7 @@ func (h *Heap) setEdge(id ObjectID, i int, to ObjectID) {
 		n++
 	}
 	h.edges[off+int32(i)] = to
-	h.espan[id] = packSpan(off, n)
+	h.hot[id].Span = packSpan(off, n)
 }
 
 // extendArena grows the arena's length by add slots without initialising
@@ -176,7 +205,7 @@ func (h *Heap) growSpan(id ObjectID, need int32) {
 		h.extendArena(int(newCap))
 		copy(h.edges[newOff:newOff+n], h.edges[off:off+n])
 		h.edgeWaste += int64(cur)
-		h.espan[id] = packSpan(newOff, n)
+		h.hot[id].Span = packSpan(newOff, n)
 	}
 	h.ecap[id] = newCap
 	h.maybeCompactEdges()
@@ -199,41 +228,35 @@ func (h *Heap) maybeCompactEdges() {
 	for id := 1; id < len(h.ecap); id++ {
 		off, n := h.span(ObjectID(id))
 		copy(fresh[pos:pos+n], h.edges[off:off+n])
-		h.espan[id] = packSpan(pos, n)
+		h.hot[id].Span = packSpan(pos, n)
 		pos += h.ecap[id]
 	}
 	h.edges = fresh
 	h.edgeWaste = 0
 }
 
-// View is the collectors' window onto the heap's struct-of-arrays tables.
-// All slices are shared with (not copies of) the heap, indexed by
-// ObjectID, and valid until the next allocation grows the object table —
-// a trace never allocates objects mid-pass, so capturing a View at the
-// start of a pass is safe. Marking through the view (Marks[id] = Gen)
-// is equivalent to Heap.Mark.
+// View is the collectors' window onto the heap's hot table and edge
+// arena. Both slices are shared with (not copies of) the heap, indexed by
+// ObjectID (Hot) or span offset (Edges), and valid until the next
+// allocation grows the object table or the next reference mutation moves
+// the arena — a trace does neither mid-pass, so capturing a View at the
+// start of a pass is safe. Marking through the view (installing Gen in
+// the low half of Hot[id].MarkSize) is equivalent to Heap.Mark.
 type View struct {
-	// MarkSize packs each object's byte size (high 32 bits) with its mark
-	// generation (low 32). An object is marked iff uint32(MarkSize[id]) ==
-	// Gen; dead slots and NilObject hold a sentinel above every
-	// generation, so uint32(MarkSize[id]) >= Gen reads as "do not visit"
-	// (dead, nil or already marked) in a single compare — and the same
-	// load yields the size.
-	MarkSize []uint64
+	// Hot holds each object's hot record. An object is marked iff
+	// uint32(Hot[id].MarkSize) == Gen; dead slots and NilObject hold a
+	// sentinel above every generation, so uint32(Hot[id].MarkSize) >= Gen
+	// reads as "do not visit" (dead, nil or already marked) in a single
+	// compare — and the same load yields the size.
+	Hot []HotRecord
 	// Gen is the current mark generation (set by BeginTrace).
 	Gen uint32
-	// EdgeSpans and Edges are the CSR edge arena: object id's span word is
-	// off<<32 | len, its references Edges[off : off+len].
-	EdgeSpans []uint64
-	Edges     []ObjectID
+	// Edges is the CSR edge arena: object id's references are
+	// Edges[off : off+len] for its span word Hot[id].Span = off<<32 | len.
+	Edges []ObjectID
 }
 
-// SoAView returns the current struct-of-arrays view for a tracing pass.
+// SoAView returns the current view for a tracing pass.
 func (h *Heap) SoAView() View {
-	return View{
-		MarkSize:  h.msize,
-		Gen:       h.markGen,
-		EdgeSpans: h.espan,
-		Edges:     h.edges,
-	}
+	return View{Hot: h.hot, Gen: h.markGen, Edges: h.edges}
 }

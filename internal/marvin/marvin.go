@@ -94,8 +94,7 @@ func (m *Marvin) StubBytes() int64 { return m.stubBytes }
 // object granularity by Marvin itself). The runtime calls this after every
 // Alloc, while the fresh pages are still resident.
 func (m *Marvin) PinAllocation(id heap.ObjectID) {
-	o := m.h.Object(id)
-	m.vm.Pin(m.h.AS, o.Addr, int64(o.Size))
+	m.vm.Pin(m.h.AS, m.h.Addr(id), int64(m.h.Size(id)))
 }
 
 // NoteAccess must be called when a mutator touches an object: a bookmarked
@@ -105,11 +104,10 @@ func (m *Marvin) NoteAccess(id heap.ObjectID) {
 	if !m.IsBookmarked(id) {
 		return
 	}
-	o := m.h.Object(id)
 	m.unbookmark(id)
 	// The page fault itself was paid by heap.Access; re-pin so the kernel
 	// LRU leaves the revived object alone.
-	m.vm.Pin(m.h.AS, o.Addr, int64(o.Size))
+	m.vm.Pin(m.h.AS, m.h.Addr(id), int64(m.h.Size(id)))
 }
 
 // unbookmark drops a bookmarked object's stub.
@@ -143,8 +141,7 @@ func (m *Marvin) SwapOutCold(now time.Duration, budgetBytes int64) (objects int,
 			return // already a swap region
 		}
 		for _, id := range r.Objects {
-			o := h.Object(id)
-			if !o.Live() || o.Region != r.ID || o.Size < Threshold {
+			if !h.Live(id) || h.RegionOf(id) != r || h.Size(id) < Threshold {
 				continue
 			}
 			if h.IsRoot(id) {
@@ -153,10 +150,11 @@ func (m *Marvin) SwapOutCold(now time.Duration, budgetBytes int64) (objects int,
 			if m.IsBookmarked(id) {
 				continue
 			}
-			if now-o.LastAccess < coldWindow {
+			last := h.LastAccess(id)
+			if now-last < coldWindow {
 				continue
 			}
-			cands = append(cands, cand{id, o.LastAccess})
+			cands = append(cands, cand{id, last})
 		}
 	})
 	// Object LRU: oldest access first.
@@ -176,7 +174,6 @@ func (m *Marvin) SwapOutCold(now time.Duration, budgetBytes int64) (objects int,
 		if bytes >= budgetBytes {
 			break
 		}
-		o := h.Object(c.id)
 		// The old copy's pages stay pinned until the next RunGC compacts
 		// the from-regions away (they may share pages with resident
 		// neighbours); DRAM is therefore reclaimed at GC, as in Marvin.
@@ -185,7 +182,7 @@ func (m *Marvin) SwapOutCold(now time.Duration, budgetBytes int64) (objects int,
 		m.nBookmarked++
 		m.stubBytes += m.stubSize(c.id)
 		objects++
-		bytes += int64(o.Size)
+		bytes += int64(h.Size(c.id))
 		pause += SwapOutSTWPerObject
 	}
 	// Materialize the copies' pages before advising them out: AdviseCold
@@ -220,7 +217,6 @@ func (m *Marvin) RunGC(now time.Duration) gc.Result {
 
 	h.BeginTrace()
 	res.AddTrace(gc.Trace(h, seeds, gc.TraceOpts{
-		Now:         now,
 		ShouldTouch: func(id heap.ObjectID) bool { return !m.IsBookmarked(id) },
 	}))
 
@@ -250,17 +246,17 @@ func (m *Marvin) RunGC(now time.Duration) gc.Result {
 	for _, r := range swapRegions {
 		liveLeft := 0
 		for _, id := range r.Objects {
-			o := h.Object(id)
-			if !o.Live() || o.Region != r.ID {
+			if !h.Live(id) || h.RegionOf(id) != r {
 				continue
 			}
+			size := h.Size(id)
 			if !h.Marked(id) {
 				// Dead: drop stub (if still bookmarked).
 				if m.IsBookmarked(id) {
 					m.unbookmark(id)
 				}
 				res.ObjectsFreed++
-				res.BytesFreed += int64(o.Size)
+				res.BytesFreed += int64(size)
 				h.KillObject(id)
 				continue
 			}
@@ -271,8 +267,8 @@ func (m *Marvin) RunGC(now time.Duration) gc.Result {
 			// Revived (resident) object: compact it back.
 			ev.Copy(id, heap.KindNormal)
 			res.ObjectsCopied++
-			res.BytesCopied += int64(o.Size)
-			res.GCThreadCPU += gc.CopyCost(o.Size)
+			res.BytesCopied += int64(size)
+			res.GCThreadCPU += gc.CopyCost(size)
 		}
 		if liveLeft == 0 {
 			h.FreeRegion(r)

@@ -187,7 +187,7 @@ func HeapDigest(hp *heap.Heap) Digest {
 		h.Byte(byte(r.Kind))
 		h.U64(uint64(len(r.Objects)))
 	})
-	hp.ForEachLiveObject(func(id heap.ObjectID, o *heap.Object) {
+	hp.ForEachLiveObject(func(id heap.ObjectID, o heap.Object) {
 		h.I32(int32(id))
 		h.U64(o.Seq)
 		h.I32(o.Size)

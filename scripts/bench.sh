@@ -1,6 +1,7 @@
 #!/bin/sh
 # Runs the hot-path micro-benchmarks (GC trace without and with page
-# touching, page-table lookup, heap build via Alloc/AddRef, fleetd
+# touching, page-table lookup, heap build via Alloc/AddRef, mutator
+# object access at recycled IDs, fleetd
 # per-job service overhead, the zram store/load round trip) plus the
 # end-to-end per-policy device-tick bench and the population campaign's
 # per-device cost, and writes the raw `go test -json` stream to
@@ -17,7 +18,7 @@ cd "$(dirname "$0")/.."
 
 out=${BENCH_OUT:-BENCH_5.json}
 count=${BENCH_COUNT:-1}
-go test -run '^$' -bench 'TraceHotPath|TraceTouchPass|PageLookup|PageRangeWalk|HeapBuild|ServiceJob|DeviceTick|ZramSwapOut' \
+go test -run '^$' -bench 'TraceHotPath|TraceTouchPass|PageLookup|PageRangeWalk|HeapBuild|HeapAccess|ServiceJob|DeviceTick|ZramSwapOut' \
 	-benchmem -count "$count" -json \
 	"$@" ./internal/gc ./internal/mem ./internal/vmem ./internal/heap ./internal/service ./internal/core ./internal/population | tee "$out" | \
 	grep -o '"Output":"Benchmark[^"]*' | sed 's/"Output":"//; s/\\t/\t/g; s/\\n//' || true
