@@ -68,12 +68,12 @@ type Metrics struct {
 	// CPU per app name.
 	CPU map[string]*CPUStats
 
-	// Kills is the lmkd kill count; AliveHighWater the most apps ever
-	// cached+running simultaneously. HardKills are out-of-memory kills
-	// (reclaim failed); PSIKills are thrash-detector kills. OOMKills count
-	// processes whose own allocation hit ErrOOM after lmkd escalation ran
-	// dry (the Android OOM-killer analogue); CrashKills count processes
-	// that died on an injected crash or a non-OOM fault.
+	// Kills counts every process kill, by lmkd or otherwise; AliveHighWater
+	// is the most apps ever cached+running simultaneously. HardKills are
+	// out-of-memory kills (reclaim failed); PSIKills are thrash-detector
+	// kills. OOMKills count processes whose own allocation hit ErrOOM after
+	// lmkd escalation ran dry (the Android OOM-killer analogue); CrashKills
+	// count processes that died on an injected crash or a non-OOM fault.
 	Kills          int
 	HardKills      int
 	PSIKills       int
@@ -105,9 +105,6 @@ type Metrics struct {
 	// AliveTrace records the alive-app count after each launch
 	// (Fig. 11's y-axis).
 	AliveTrace []int
-
-	// IOTime sums swap-device busy time attributed to launches.
-	IOTime time.Duration
 }
 
 // NewMetrics returns empty metrics.
@@ -134,28 +131,6 @@ func (m *Metrics) cpu(app string) *CPUStats {
 		m.CPU[app] = c
 	}
 	return c
-}
-
-// HotLaunchSample returns the hot-launch times (ms) for one app.
-func (m *Metrics) HotLaunchSample(app string) *metrics.Sample {
-	s := &metrics.Sample{}
-	for _, l := range m.Launches {
-		if l.Hot && l.App == app {
-			s.Add(float64(l.Time) / float64(time.Millisecond))
-		}
-	}
-	return s
-}
-
-// ColdLaunchSample returns the cold-launch times (ms) for one app.
-func (m *Metrics) ColdLaunchSample(app string) *metrics.Sample {
-	s := &metrics.Sample{}
-	for _, l := range m.Launches {
-		if !l.Hot && l.App == app {
-			s.Add(float64(l.Time) / float64(time.Millisecond))
-		}
-	}
-	return s
 }
 
 // BackgroundGCWorkingSet returns the objects-traced counts of background

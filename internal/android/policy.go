@@ -22,13 +22,12 @@ const (
 	PolicySwam
 )
 
-// PolicyInfo is one registry entry: the typed kind, its canonical name, a
-// one-line doc string for CLI/API help, and the constructor that installs
-// the policy's per-process hooks into a freshly launched proc.
+// PolicyInfo is one registry entry: the typed kind, its canonical name and
+// the constructor that installs the policy's per-process hooks into a
+// freshly launched proc.
 type PolicyInfo struct {
 	Kind PolicyKind
 	Name string
-	Doc  string
 	Wire func(p *Proc)
 }
 
@@ -37,10 +36,10 @@ type PolicyInfo struct {
 // population parser all resolve through it, so a new policy registers here
 // once instead of being switch-cased in three places.
 var policyRegistry = []PolicyInfo{
-	{PolicyAndroid, "Android", "stock Android: native GC + kernel LRU page swap", wireDefault},
-	{PolicyMarvin, "Marvin", "bookmarking GC + object-granularity swap baseline", wireMarvin},
-	{PolicyFleet, "Fleet", "the paper's co-design: BGC + runtime-guided swap", wireFleet},
-	{PolicySwam, "Swam", "stock runtime + responsiveness-driven reclaim and lmkd (SWAM-style)", wireDefault},
+	{PolicyAndroid, "Android", wireDefault},
+	{PolicyMarvin, "Marvin", wireMarvin},
+	{PolicyFleet, "Fleet", wireFleet},
+	{PolicySwam, "Swam", wireDefault},
 }
 
 // Policies returns the registry entries in registration order.

@@ -109,22 +109,22 @@ func (p *Proc) backgroundGC(now time.Duration) gc.Result {
 	var res gc.Result
 	switch {
 	case p.Fleet != nil && p.sys.Cfg.FleetNoBGC:
-		res = gc.Major(p.App.H, p.RS, now)
+		res = gc.Major(p.App.H, p.RS)
 	case p.Fleet != nil:
-		res = p.Fleet.RunBGC(now)
+		res = p.Fleet.RunBGC()
 	case p.Marvin != nil:
 		// Marvin first collects (so garbage is not uselessly written to
 		// swap), then evicts cold objects at object granularity, then
 		// compacts the holes the eviction left. Both collections' costs
 		// count — the repeated stub-consistency pauses are exactly the
 		// §3.1 drawback.
-		res = p.Marvin.RunGC(now)
+		res = p.Marvin.RunGC()
 		_, _, pause := p.Marvin.SwapOutCold(now, p.App.JavaHeapBytes)
 		res.PauseSTW += pause
-		second := p.Marvin.RunGC(now)
+		second := p.Marvin.RunGC()
 		res.Add(second)
 	default:
-		res = gc.Major(p.App.H, p.RS, now)
+		res = gc.Major(p.App.H, p.RS)
 	}
 	p.finishGC(now, res, true)
 	return res
@@ -135,14 +135,10 @@ func (p *Proc) backgroundGC(now time.Duration) gc.Result {
 func (p *Proc) foregroundGC(now time.Duration) gc.Result {
 	var res gc.Result
 	if p.Marvin != nil {
-		res = p.Marvin.RunGC(now)
+		res = p.Marvin.RunGC()
 	} else {
 		p.fgGCs++
-		if p.fgGCs%8 == 0 {
-			res = gc.Major(p.App.H, p.RS, now)
-		} else {
-			res = gc.Minor(p.App.H, p.RS, now)
-		}
+		res = gc.Foreground(p.App.H, p.RS, p.fgGCs)
 	}
 	p.finishGC(now, res, false)
 	return res

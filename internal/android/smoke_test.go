@@ -62,7 +62,7 @@ func TestSmokeAllPolicies(t *testing.T) {
 			// Marvin reclaim.
 			sys.Use(20 * time.Second)
 			d, _ := sys.SwitchTo(a)
-			t.Logf("%s: hot launch of A = %v, alive=%d, %s", pol, d, sys.AliveCount(), sys.Debug())
+			t.Logf("%s: hot launch of A = %v, alive=%d", pol, d, sys.AliveCount())
 			sys.Use(2 * time.Second)
 			if sys.AliveCount() != 2 {
 				t.Errorf("alive = %d", sys.AliveCount())

@@ -51,8 +51,7 @@ func (s *System) swamTick(c *simclock.Clock) {
 	if stallFrac, ok := s.stall.observe(now, s.swamStallCum()); ok {
 		switch {
 		case stallFrac > swamKillThreshold && now-s.lastSwamKill >= swamCooldown:
-			if s.onPressure(0) {
-				s.M.SwamKills++
+			if s.lmkdKill("swam", &s.M.SwamKills) {
 				s.lastSwamKill = now
 			}
 		case stallFrac > swamReclaimThreshold:

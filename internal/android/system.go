@@ -2,7 +2,6 @@ package android
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"fleetsim/internal/apps"
@@ -238,8 +237,7 @@ func (s *System) psiTick(c *simclock.Clock) {
 		swapFull := s.VM.Swap.TotalSlots() == 0 ||
 			float64(s.VM.Swap.UsedSlots()) > 0.7*float64(s.VM.Swap.TotalSlots())
 		if ioFrac > psiKillThreshold && swapFull {
-			if s.onPressure(0) {
-				s.M.PSIKills++
+			if s.lmkdKill("psi", &s.M.PSIKills) {
 				s.lastPSIKill = now
 			}
 		}
@@ -247,9 +245,9 @@ func (s *System) psiTick(c *simclock.Clock) {
 	c.ScheduleAfter(time.Second, "psi", s.psiTick)
 }
 
-// EnableTrace attaches an event log (max 0 = unlimited) and returns it.
-func (s *System) EnableTrace(max int) *trace.Log {
-	s.Trace = trace.New(max)
+// EnableTrace attaches an event log and returns it.
+func (s *System) EnableTrace() *trace.Log {
+	s.Trace = trace.New()
 	return s.Trace
 }
 
@@ -281,10 +279,14 @@ func (s *System) FindProc(name string) *Proc {
 	return nil
 }
 
-// onPressure is lmkd: kill the least-recently-foregrounded cached app.
-// Hard (reclaim-failure) invocations arrive with need > 0 and are counted
-// separately from PSI kills.
-func (s *System) onPressure(need int64) bool {
+// onPressure is vmem's callback when reclaim cannot free the frames it
+// needs: lmkd's hard kill.
+func (s *System) onPressure(int64) bool { return s.lmkdKill("hard", &s.M.HardKills) }
+
+// lmkdKill kills the least-recently-foregrounded cached app, counting the
+// kill in count and logging it with its trigger as Detail ("hard", "psi"
+// or "swam"). It reports whether there was a victim.
+func (s *System) lmkdKill(trigger string, count *int) bool {
 	var victim *Proc
 	for _, p := range s.procs {
 		if p.alive && p.state == StateBackground {
@@ -296,10 +298,8 @@ func (s *System) onPressure(need int64) bool {
 	if victim == nil {
 		return false
 	}
-	if need > 0 {
-		s.M.HardKills++
-		s.Trace.Emit(trace.Event{At: s.Clock.Now(), Kind: trace.KindKill, App: victim.Name(), Detail: "hard"})
-	}
+	*count++
+	s.Trace.Emit(trace.Event{At: s.Clock.Now(), Kind: trace.KindKill, App: victim.Name(), Detail: trigger})
 	s.Kill(victim)
 	return true
 }
@@ -461,7 +461,7 @@ func (s *System) toBackground(p *Proc) {
 	p.bgSeq++
 	seq := p.bgSeq
 	s.Trace.Emit(trace.Event{At: now, Kind: trace.KindState, App: p.Name(), Detail: "background"})
-	p.App.EnterBackground(now)
+	p.App.EnterBackground()
 	p.Ctrl.GrowthFactor = s.Cfg.BgHeapGrowth
 	p.Ctrl.Update(p.App.H.LiveBytes())
 	p.lastFullGC = now
@@ -607,10 +607,4 @@ func (s *System) Idle(d time.Duration) {
 		s.toBackground(s.fg)
 	}
 	s.Clock.RunUntil(s.Clock.Now() + d)
-}
-
-// Debug summarises system state.
-func (s *System) Debug() string {
-	return fmt.Sprintf("t=%v alive=%d freeFrames=%d swapFree=%d kills=%d",
-		s.Clock.Now(), s.AliveCount(), s.VM.Phys.FreeFrames(), s.VM.Swap.FreeSlots(), s.M.Kills)
 }

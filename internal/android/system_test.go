@@ -1,11 +1,14 @@
 package android
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"fleetsim/internal/apps"
 	"fleetsim/internal/core"
+	"fleetsim/internal/trace"
 	"fleetsim/internal/units"
 	"fleetsim/internal/vmem"
 )
@@ -264,20 +267,23 @@ func TestHotLaunchSampleFiltersApp(t *testing.T) {
 	sys.Launch(testProfile("B"))
 	sys.Use(time.Second)
 	sys.SwitchTo(a)
-	if s := sys.M.HotLaunchSample("A"); s.N() != 1 {
-		t.Errorf("A hot samples = %d", s.N())
+	type key struct {
+		app string
+		hot bool
 	}
-	if s := sys.M.HotLaunchSample("B"); s.N() != 0 {
-		t.Errorf("B hot samples = %d", s.N())
+	got := map[key]int{}
+	for _, l := range sys.M.Launches {
+		got[key{l.App, l.Hot}]++
 	}
-	if s := sys.M.ColdLaunchSample("A"); s.N() != 1 {
-		t.Errorf("A cold samples = %d", s.N())
+	want := map[key]int{{"A", false}: 1, {"B", false}: 1, {"A", true}: 1}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("launches per (app, hot) = %v, want %v", got, want)
 	}
 }
 
 func TestTraceRecordsSystemEvents(t *testing.T) {
 	sys := NewSystem(DefaultSystemConfig(PolicyFleet, testScale))
-	log := sys.EnableTrace(0)
+	log := sys.EnableTrace()
 	a := sys.Launch(testProfile("A"))
 	sys.Use(2 * time.Second)
 	sys.Launch(testProfile("B"))
@@ -310,5 +316,44 @@ func TestTraceRecordsSystemEvents(t *testing.T) {
 		if evs[i].At < evs[i-1].At {
 			t.Fatal("trace not time ordered")
 		}
+	}
+}
+
+// TestLmkdKillsReachTrace checks that every lmkd kill is logged. In a
+// Fig. 11a-style capacity run (28 synthetic 2048-B apps, 15 s of use each)
+// stock Android's PSI monitor and Swam's responsiveness monitor both kill;
+// the trace's kill events for that trigger must match the policy's counter,
+// and all kill events together must match Kills.
+func TestLmkdKillsReachTrace(t *testing.T) {
+	const scale = 64
+	for _, c := range []struct {
+		pol     PolicyKind
+		trigger string
+		kills   func(*Metrics) int
+	}{
+		{PolicyAndroid, "psi", func(m *Metrics) int { return m.PSIKills }},
+		{PolicySwam, "swam", func(m *Metrics) int { return m.SwamKills }},
+	} {
+		t.Run(c.pol.String(), func(t *testing.T) {
+			sys := NewSystem(DefaultSystemConfig(c.pol, scale))
+			log := sys.EnableTrace()
+			for i := 0; i < 28; i++ {
+				sys.Launch(apps.SyntheticProfile(fmt.Sprintf("s%d", i), 2048, 180*units.MiB/scale))
+				sys.Use(15 * time.Second)
+			}
+			events := map[string]int{}
+			total := 0
+			for _, e := range log.Filter(trace.KindKill, "") {
+				events[e.Detail]++
+				total++
+			}
+			t.Logf("kill events by trigger: %v", events)
+			if n := c.kills(sys.M); n == 0 || events[c.trigger] != n {
+				t.Errorf("%s: %d kill events, counter %d (want equal and > 0)", c.trigger, events[c.trigger], n)
+			}
+			if total != sys.M.Kills {
+				t.Errorf("kill events %v sum to %d, Kills = %d", events, total, sys.M.Kills)
+			}
+		})
 	}
 }

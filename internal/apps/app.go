@@ -386,7 +386,7 @@ func (a *App) sampleAccess() heap.ObjectID {
 // EnterBackground snapshots the background working set: the small set of
 // objects the app keeps using while cached (recent allocations + a few
 // views).
-func (a *App) EnterBackground(now time.Duration) {
+func (a *App) EnterBackground() {
 	a.bgWS = a.bgWS[:0]
 	for i := 0; i < a.BgWSObjects; i++ {
 		var id heap.ObjectID

@@ -215,7 +215,7 @@ func TestForegroundChurnCreatesGarbage(t *testing.T) {
 func TestBackgroundTickAllocatesBGO(t *testing.T) {
 	p := twitter()
 	a := buildApp(t, p)
-	a.EnterBackground(time.Second)
+	a.EnterBackground()
 	before := a.H.Stats().Allocated
 	for i := 0; i < 30; i++ {
 		a.BackgroundTick(time.Second+time.Duration(i)*time.Second, time.Second)
@@ -413,9 +413,9 @@ func TestChainSlotsMatchViewRefs(t *testing.T) {
 			now += tick
 		}
 		check("foreground")
-		gc.Major(a.H, nil, now)
+		gc.Major(a.H, nil)
 		check("major")
-		a.EnterBackground(now)
+		a.EnterBackground()
 		for i := 0; i < 20; i++ {
 			a.BackgroundTick(now, time.Second)
 			now += time.Second

@@ -16,7 +16,7 @@ func TestLeakFallbackTriggersFullGC(t *testing.T) {
 	h, vm := newRig(256 * units.MiB)
 	f := New(DefaultConfig(), h, vm)
 	root, hub, _, deep := buildApp(h, 0)
-	gc.Major(h, nil, time.Second)
+	gc.Major(h, nil)
 	f.OnBackground()
 	f.RunGrouping(100 * time.Second)
 	h.WriteBarrier = f.WriteBarrier
@@ -35,7 +35,7 @@ func TestLeakFallbackTriggersFullGC(t *testing.T) {
 			id, _, _ := h.Alloc(256, heap.EpochBackground, now)
 			h.AddRef(hub, id, now) // all survive
 		}
-		f.RunBGC(now)
+		f.RunBGC()
 		now += 20 * time.Second
 	}
 	if f.FullFallbacks() == 0 {
@@ -66,7 +66,7 @@ func TestHealthyBGCNeverFallsBack(t *testing.T) {
 	h, vm := newRig(256 * units.MiB)
 	f := New(DefaultConfig(), h, vm)
 	buildApp(h, 0)
-	gc.Major(h, nil, time.Second)
+	gc.Major(h, nil)
 	f.OnBackground()
 	f.RunGrouping(100 * time.Second)
 	h.WriteBarrier = f.WriteBarrier
@@ -76,7 +76,7 @@ func TestHealthyBGCNeverFallsBack(t *testing.T) {
 		for j := 0; j < 30; j++ {
 			h.Alloc(256, heap.EpochBackground, now) // all garbage
 		}
-		f.RunBGC(now)
+		f.RunBGC()
 		now += 20 * time.Second
 	}
 	if f.FullFallbacks() != 0 {
@@ -90,7 +90,7 @@ func TestDisableColdAdviseAblation(t *testing.T) {
 	cfg.DisableColdAdvise = true
 	f := New(cfg, h, vm)
 	_, _, _, deep := buildApp(h, 0)
-	gc.Major(h, nil, time.Second)
+	gc.Major(h, nil)
 	f.OnBackground()
 	f.RunGrouping(100 * time.Second)
 	// Without COLD_RUNTIME nothing was proactively swapped.
@@ -110,7 +110,7 @@ func TestDisableHotAdviceAblation(t *testing.T) {
 	cfg.DisableHotAdvice = true
 	f := New(cfg, h, vm)
 	_, _, nros, _ := buildApp(h, 0)
-	gc.Major(h, nil, time.Second)
+	gc.Major(h, nil)
 	f.OnBackground()
 	f.RunGrouping(100 * time.Second)
 	f.RefreshAdvice()

@@ -194,7 +194,7 @@ func (f *Fleet) RunGrouping(now time.Duration) gc.Result {
 	// without a device to steer.
 	if f.vm.Swap.TotalSlots() > 0 && !f.vm.Swap.Online() {
 		f.swapFallbacks++
-		res := gc.Major(h, nil, now)
+		res := gc.Major(h, nil)
 		f.state = StateActive
 		return res
 	}
@@ -330,13 +330,13 @@ const (
 // almost nothing relative to what the background allocated, Fleet falls
 // back to one full-heap tracing collection (and the FGO/BGO separation is
 // rebuilt by the next grouping).
-func (f *Fleet) RunBGC(now time.Duration) gc.Result {
+func (f *Fleet) RunBGC() gc.Result {
 	h := f.h
 	res := gc.Result{Kind: gc.KindBGC}
 	if f.card == nil {
 		// Grouping has not happened yet; nothing to restrict — fall back
 		// to a plain major GC (worst case discussed in §5.2).
-		return gc.Major(h, nil, now)
+		return gc.Major(h, nil)
 	}
 	allocSinceGC := h.BytesSinceGC
 
@@ -388,7 +388,7 @@ func (f *Fleet) RunBGC(now time.Duration) gc.Result {
 		if f.lowYieldCycles >= leakFallbackCycles {
 			f.lowYieldCycles = 0
 			f.fullFallbacks++
-			full := gc.Major(h, nil, now)
+			full := gc.Major(h, nil)
 			full.Kind = gc.KindBGC
 			res.Add(full)
 			// The full compaction dissolved the FGO regions; stand the

@@ -111,7 +111,7 @@ func TestGroupingClassifiesFYO(t *testing.T) {
 	buildApp(h, 0)
 	// A GC boundary, then fresh allocations: those are in newly-allocated
 	// regions at grouping time → FYO (if deeper than D).
-	gc.Major(h, nil, 50*time.Second)
+	gc.Major(h, nil)
 	root2, _, _ := h.Alloc(64, heap.EpochForeground, 50*time.Second)
 	h.AddRoot(root2)
 	// Build a deep chain of fresh objects so depth > D.
@@ -136,7 +136,7 @@ func TestGroupingClassifiesWS(t *testing.T) {
 	h, vm := newRig(256 * units.MiB)
 	f := New(DefaultConfig(), h, vm)
 	_, _, _, deep := buildApp(h, 0)
-	gc.Major(h, nil, time.Second) // age regions so FYO doesn't apply
+	gc.Major(h, nil) // age regions so FYO doesn't apply
 	now := 100 * time.Second
 	// Touch one deep object recently: it becomes WS.
 	h.Access(deep[10], false, now-2*time.Second)
@@ -154,7 +154,7 @@ func TestGroupingEvacuatesIntoTypedRegions(t *testing.T) {
 	h, vm := newRig(256 * units.MiB)
 	f := New(DefaultConfig(), h, vm)
 	root, _, nros, deep := buildApp(h, 0)
-	gc.Major(h, nil, time.Second)
+	gc.Major(h, nil)
 	f.OnBackground()
 	f.RunGrouping(100 * time.Second)
 
@@ -187,7 +187,7 @@ func TestGroupingSwapsOutColdAndKeepsLaunchResident(t *testing.T) {
 	h, vm := newRig(256 * units.MiB)
 	f := New(DefaultConfig(), h, vm)
 	_, _, nros, deep := buildApp(h, 0)
-	gc.Major(h, nil, time.Second)
+	gc.Major(h, nil)
 	f.OnBackground()
 	gs := f.LastGrouping()
 	res := f.RunGrouping(100 * time.Second)
@@ -252,7 +252,7 @@ func TestBGCOnlyTracesBGO(t *testing.T) {
 		h.Alloc(128, heap.EpochBackground, now) // garbage
 	}
 
-	res := f.RunBGC(now + time.Second)
+	res := f.RunBGC()
 	// Working set must be ~|live BGO| + seeds, not the whole heap
 	// (|FGO| + |BGO|). Garbage BGO are never reached, so they don't count
 	// either.
@@ -279,7 +279,7 @@ func TestBGCDoesNotFaultSwappedFGO(t *testing.T) {
 	h, vm := newRig(256 * units.MiB)
 	f := New(DefaultConfig(), h, vm)
 	root, _, _, _ := buildApp(h, 0)
-	gc.Major(h, nil, time.Second)
+	gc.Major(h, nil)
 	f.OnBackground()
 	f.RunGrouping(100 * time.Second)
 
@@ -296,7 +296,7 @@ func TestBGCDoesNotFaultSwappedFGO(t *testing.T) {
 	})
 
 	swapInsBefore := vm.Stats().SwapIns
-	f.RunBGC(now + time.Second)
+	f.RunBGC()
 	swapIns := vm.Stats().SwapIns - swapInsBefore
 	// The only permissible touches are the dirty-card FGO (root, which is
 	// in a resident launch region) — so zero swap-ins.
@@ -325,7 +325,7 @@ func TestBGCDirtyCardKeepsBGOAlive(t *testing.T) {
 	}
 	// Remove all other paths: roots only keep root; root->hub edge exists
 	// (FGO→FGO, untraced by BGC) — so without the card, bgo would die.
-	f.RunBGC(now + time.Second)
+	f.RunBGC()
 	if !h.Object(bgo).Live() {
 		t.Error("BGO reachable only via dirty FGO card was collected")
 	}
@@ -337,7 +337,7 @@ func TestBGCWithoutGroupingFallsBackToMajor(t *testing.T) {
 	f := New(DefaultConfig(), h, vm)
 	buildApp(h, 0)
 	h.Alloc(64, heap.EpochForeground, 0) // garbage
-	res := f.RunBGC(time.Second)
+	res := f.RunBGC()
 	if res.Kind != gc.KindMajor {
 		t.Errorf("fallback kind = %v, want major", res.Kind)
 	}
@@ -462,7 +462,7 @@ func TestBGCCorrectnessProperty(t *testing.T) {
 				}
 			}
 		}
-		fl.RunBGC(now + time.Second)
+		fl.RunBGC()
 		for _, id := range bgo {
 			if reach[id] && !h.Object(id).Live() {
 				return false // live BGO collected
@@ -504,7 +504,7 @@ func TestNROClassificationProperty(t *testing.T) {
 			h.AddRef(ids[r.Intn(len(ids))], id, 0)
 			ids = append(ids, id)
 		}
-		gc.Major(h, nil, time.Second) // age regions: no FYO
+		gc.Major(h, nil) // age regions: no FYO
 		want := gc.Depths(h)
 		fl.OnBackground()
 		fl.RunGrouping(100 * time.Second)

@@ -17,7 +17,7 @@ func TestFullLifecycleCycles(t *testing.T) {
 	f := New(DefaultConfig(), h, vm)
 	root, hub, nros, _ := buildApp(h, 0)
 	h.WriteBarrier = f.WriteBarrier
-	gc.Major(h, nil, time.Second) // age the regions so not everything is FYO
+	gc.Major(h, nil) // age the regions so not everything is FYO
 
 	now := 100 * time.Second
 	for cycle := 0; cycle < 2; cycle++ {
@@ -44,7 +44,7 @@ func TestFullLifecycleCycles(t *testing.T) {
 					keep = id
 				}
 			}
-			bres := f.RunBGC(now)
+			bres := f.RunBGC()
 			if bres.Kind != gc.KindBGC {
 				t.Fatalf("cycle %d: BGC kind %v", cycle, bres.Kind)
 			}
@@ -76,7 +76,7 @@ func TestFullLifecycleCycles(t *testing.T) {
 		}
 		// Foreground period with a normal major GC (stock behaviour).
 		now += 10 * time.Second
-		gc.Major(h, nil, now)
+		gc.Major(h, nil)
 		if !h.Object(root).Live() {
 			t.Fatal("root died")
 		}
@@ -104,7 +104,7 @@ func TestBGCWorkingSetStableAcrossCycles(t *testing.T) {
 				h.AddRef(hub, id, now)
 			}
 		}
-		res := f.RunBGC(now)
+		res := f.RunBGC()
 		if i == 0 {
 			first = res.ObjectsTraced
 		}

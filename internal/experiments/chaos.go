@@ -291,9 +291,8 @@ func ChaosSupervised(p Params, opts ChaosOpts) ChaosReport {
 		},
 	}
 	rows, legErrs := runner.SupervisedMap(cells, pol, func(_ int, c chaosCell) (ChaosRow, error) {
-		if opts.Interrupted != nil && opts.Interrupted() {
-			return ChaosRow{}, errSkipped
-		}
+		// A journaled cell costs nothing to answer, so it is answered even
+		// after an interrupt, as population.Run does.
 		cellKey := c.checkpointKey()
 		if opts.Store != nil {
 			var cached ChaosRow
@@ -301,6 +300,9 @@ func ChaosSupervised(p Params, opts ChaosOpts) ChaosReport {
 				resumed.Add(1)
 				return cached, nil
 			}
+		}
+		if opts.Interrupted != nil && opts.Interrupted() {
+			return ChaosRow{}, errSkipped
 		}
 		row, _ := chaosRun(p, c, 0)
 		replay, _ := chaosRun(p, c, 0)

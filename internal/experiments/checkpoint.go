@@ -78,7 +78,7 @@ func summarizeLeg(run *hotRun) *legSummary {
 // possible, otherwise runs it and records the summary. The cell key folds
 // the measured-app set and the policy; the campaign key (checked at store
 // open) covers the Params.
-func checkpointedLeg(p Params, pol android.PolicyKind, measuredNames []string,
+func checkpointedLeg(pol android.PolicyKind, measuredNames []string,
 	run func() *hotRun) *legSummary {
 
 	st := CheckpointStore()

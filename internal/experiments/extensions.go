@@ -27,17 +27,6 @@ func extRow(label string, r *hotRun) ExtRow {
 	}
 }
 
-// runWithConfig is runHotLaunches with an arbitrary config mutator.
-func runWithConfig(p Params, policy android.PolicyKind, mutate func(*android.SystemConfig)) *hotRun {
-	pop, measured := pressurePopulation(p, Fig13Apps)
-	cfg := systemConfig(p, policy)
-	cfg.Seed = p.Seed
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	return runHotLaunchesWithSystem(p, android.NewSystem(cfg), pop, measured)
-}
-
 // ExtPrefetch compares stock Android, Android with an ASAP-style launch
 // prefetcher, and Fleet. The prefetcher removes random launch faults (big
 // median win over stock Android) but still pays bulk sequential IO and
@@ -64,7 +53,8 @@ type extLeg struct {
 // extLegs fans the configurations out on the pool, preserving order.
 func extLegs(p Params, legs ...extLeg) []ExtRow {
 	return runner.Map(legs, func(_ int, l extLeg) ExtRow {
-		return extRow(l.label, runWithConfig(p, l.policy, l.mutate))
+		pop, measured := pressurePopulation(p, Fig13Apps)
+		return extRow(l.label, runHotLaunches(p, l.policy, pop, measured, l.mutate))
 	})
 }
 

@@ -107,11 +107,13 @@ func Fig3(p Params) []Fig3Row {
 	legs := runner.MapN(3, func(i int) *hotRun {
 		switch i {
 		case 0:
-			return runHotLaunches(pns, android.PolicyAndroid, popNS, measuredNS, true, 0)
+			return runHotLaunches(pns, android.PolicyAndroid, popNS, measuredNS, func(c *android.SystemConfig) {
+				c.Device = android.Pixel3NoSwap(pns.Scale)
+			})
 		case 1:
-			return runHotLaunches(p, android.PolicyAndroid, pop, measured, false, 0)
+			return runHotLaunches(p, android.PolicyAndroid, pop, measured, nil)
 		default:
-			return runHotLaunches(p, android.PolicyMarvin, pop, measured, false, 0)
+			return runHotLaunches(p, android.PolicyMarvin, pop, measured, nil)
 		}
 	})
 	noswap, swap, marvin := legs[0], legs[1], legs[2]

@@ -52,11 +52,7 @@ func (r *soloRig) maybeGC() {
 		return
 	}
 	r.fgGCs++
-	if r.fgGCs%8 == 0 {
-		gc.Major(r.App.H, r.RS, r.now)
-	} else {
-		gc.Minor(r.App.H, r.RS, r.now)
-	}
+	gc.Foreground(r.App.H, r.RS, r.fgGCs)
 	r.Ctrl.Update(r.App.H.LiveBytes())
 }
 
@@ -127,14 +123,14 @@ func Fig4(p Params) Fig4Result {
 	rig.App.BuildInitial(0)
 	rig.runFg(20 * time.Second)
 	res.ToBackSec = rig.now.Seconds()
-	rig.App.EnterBackground(rig.now)
+	rig.App.EnterBackground()
 	rig.NoAutoGC = true // the background GC below happens on the paper's schedule
 	rig.runBg(17 * time.Second)
 
 	// The background GC: it visits every live object; sample every 100th,
 	// as the paper's spike shows.
 	res.GCSec = rig.now.Seconds()
-	gc.Major(rig.App.H, rig.RS, rig.now)
+	gc.Major(rig.App.H, rig.RS)
 	i := 0
 	h := rig.App.H
 	for id := heap.ObjectID(1); int(id) < h.ObjectTableSize(); id++ {
@@ -198,7 +194,7 @@ func Fig5(p Params) Fig5Result {
 		rig := newSoloRig(p, profile)
 		rig.App.BuildInitial(0)
 		rig.runFg(60 * time.Second) // abbreviated "use for 10 minutes"
-		rig.App.EnterBackground(rig.now)
+		rig.App.EnterBackground()
 
 		// Snapshot epochs by allocation sequence. Everything alive now is
 		// FGO by definition; BGO tracked as they appear.
@@ -225,7 +221,7 @@ func Fig5(p Params) Fig5Result {
 			rig.runBg(15 * time.Second)
 			// Track BGO allocated this interval before they can die.
 			snapshot()
-			gc.Major(h, rig.RS, rig.now)
+			gc.Major(h, rig.RS)
 			// Mark survivors.
 			alive := map[uint64]bool{}
 			for id := heap.ObjectID(1); int(id) < h.ObjectTableSize(); id++ {
@@ -295,7 +291,7 @@ func Fig5(p Params) Fig5Result {
 		rig := newSoloRig(p, profile)
 		rig.App.BuildInitial(0)
 		rig.runFg(30 * time.Second)
-		rig.App.EnterBackground(rig.now)
+		rig.App.EnterBackground()
 		rig.runBg(15 * time.Second)
 		var fgo, bgo int64
 		h := rig.App.H

@@ -43,7 +43,7 @@ func fig6Rig(p Params, profile apps.Profile, depth int) (*soloRig, *core.Fleet, 
 	fl := core.New(cfg, rig.App.H, rig.VM)
 	rig.App.BuildInitial(0)
 	rig.runFg(30 * time.Second)
-	rig.App.EnterBackground(rig.now)
+	rig.App.EnterBackground()
 	fl.OnBackground()
 	rig.runBg(10 * time.Second) // Ts
 	// Objects allocated since the last GC — i.e. carrying the current GC

@@ -118,8 +118,8 @@ func runFig13Protocol(p Params, measuredNames []string) Fig13Result {
 	// reduction, keeping results bit-identical either way.
 	policies := []android.PolicyKind{android.PolicyAndroid, android.PolicyMarvin, android.PolicyFleet}
 	legs := runner.Map(policies, func(_ int, pol android.PolicyKind) *legSummary {
-		return checkpointedLeg(p, pol, measuredNames, func() *hotRun {
-			return runHotLaunches(p, pol, pop, measured, false, 0)
+		return checkpointedLeg(pol, measuredNames, func() *hotRun {
+			return runHotLaunches(p, pol, pop, measured, nil)
 		})
 	})
 	androidRun, marvinRun, fleetRun := legs[0], legs[1], legs[2]
@@ -245,7 +245,7 @@ func Fig13nControlled(p Params) []Fig13nPoint {
 		}
 		rig.App.BuildInitial(0)
 		rig.runFg(30 * time.Second)
-		rig.App.EnterBackground(rig.now)
+		rig.App.EnterBackground()
 		rig.runBg(10 * time.Second)
 		if fl != nil {
 			fl.OnBackground()

@@ -180,7 +180,9 @@ func Sec74(p Params) []Sec74Row {
 		// Hot launch medians with the pressure protocol.
 		pq := p.Quick()
 		pop, measured := pressurePopulation(pq, Fig13Apps[:6])
-		run := runHotLaunches(pq, l.pol, pop, measured, false, l.growth)
+		run := runHotLaunches(pq, l.pol, pop, measured, func(c *android.SystemConfig) {
+			c.BgHeapGrowth = l.growth
+		})
 		med := meanOverApps(run.All, func(s *metrics.Sample) float64 { return s.Median() })
 		return Sec74Row{
 			Policy:      l.pol.String(),

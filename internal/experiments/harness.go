@@ -98,25 +98,22 @@ type hotRun struct {
 //
 // population are the processes to keep alive (the paper's "memory
 // pressure with about 10 background apps"); measured selects which apps'
-// launches are recorded. noSwap disables the swap partition (the Fig. 3
-// baseline) and bgGrowth overrides the background heap-growth factor
-// (§7.4), with 0 meaning default.
+// launches are recorded. mutate, when non-nil, edits the leg's config
+// before the system is built: Fig. 3's no-swap device, §7.4's background
+// heap growth, the extension studies' variants.
 func runHotLaunches(p Params, policy android.PolicyKind, population []apps.Profile,
-	measured map[string]bool, noSwap bool, bgGrowth float64) *hotRun {
+	measured map[string]bool, mutate func(*android.SystemConfig)) *hotRun {
 
 	cfg := systemConfig(p, policy)
 	cfg.Seed = p.Seed
-	if noSwap {
-		cfg.Device = android.Pixel3NoSwap(p.Scale)
-	}
-	if bgGrowth > 0 {
-		cfg.BgHeapGrowth = bgGrowth
+	if mutate != nil {
+		mutate(&cfg)
 	}
 	return runHotLaunchesWithSystem(p, android.NewSystem(cfg), population, measured)
 }
 
 // runHotLaunchesWithSystem is the protocol body over a prebuilt system
-// (extensions mutate the config first).
+// (the chaos harness builds its own).
 func runHotLaunchesWithSystem(p Params, sys *android.System, population []apps.Profile,
 	measured map[string]bool) *hotRun {
 

@@ -59,11 +59,11 @@ func TestChaosResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st2.Close()
 	if st2.Resumed() == 0 {
 		t.Fatal("journal replay found no checkpointed cells")
 	}
 	got := ChaosSupervised(p, ChaosOpts{Seeds: 1, Store: st2})
+	st2.Close()
 	if got.Resumed != st2.Resumed() {
 		t.Errorf("Resumed = %d, want %d (every checkpointed cell answered from the store)",
 			got.Resumed, st2.Resumed())
@@ -73,6 +73,23 @@ func TestChaosResume(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Rows, want.Rows) {
 		t.Errorf("resumed rows differ from uninterrupted run:\n got: %+v\nwant: %+v", got.Rows, want.Rows)
+	}
+
+	// Interrupted from the start over a journal that holds every cell: the
+	// store answers each cell before the interrupt is polled, so the
+	// partial table is the whole table and nothing is simulated.
+	st3, err := snapshot.Open(path, ChaosCampaignKey(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st3.Close()
+	again := ChaosSupervised(p, ChaosOpts{Seeds: 1, Store: st3, Interrupted: func() bool { return true }})
+	if again.Resumed != len(want.Rows) || again.Skipped != 0 {
+		t.Errorf("interrupted rerun of a full journal: resumed %d, skipped %d; want %d and 0",
+			again.Resumed, again.Skipped, len(want.Rows))
+	}
+	if !reflect.DeepEqual(again.Rows, want.Rows) {
+		t.Errorf("interrupted rerun rows differ from uninterrupted run:\n got: %+v\nwant: %+v", again.Rows, want.Rows)
 	}
 }
 
@@ -167,9 +184,9 @@ func TestCheckpointedLegSkipsRerun(t *testing.T) {
 	pop, meas := pressurePopulation(p, measured)
 	var runs atomic.Int32
 	leg := func() *legSummary {
-		return checkpointedLeg(p, android.PolicyFleet, measured, func() *hotRun {
+		return checkpointedLeg(android.PolicyFleet, measured, func() *hotRun {
 			runs.Add(1)
-			return runHotLaunches(p, android.PolicyFleet, pop, meas, false, 0)
+			return runHotLaunches(p, android.PolicyFleet, pop, meas, nil)
 		})
 	}
 	first := leg()
@@ -218,7 +235,7 @@ func TestCheckpointedLegKeyedByBackend(t *testing.T) {
 		defer st.Close()
 		SetCheckpointStore(st)
 		defer SetCheckpointStore(nil)
-		checkpointedLeg(p, android.PolicyFleet, measured, func() *hotRun {
+		checkpointedLeg(android.PolicyFleet, measured, func() *hotRun {
 			runs++
 			return &hotRun{Policy: android.PolicyFleet, Sys: &android.System{M: &android.Metrics{}}}
 		})

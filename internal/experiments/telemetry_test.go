@@ -17,7 +17,7 @@ func runForDigest() (snapshot.SystemDigest, string) {
 	p := DefaultParams().Quick()
 	p.Rounds = 2
 	pop := allCommercial(p)[:4]
-	run := runHotLaunches(p, android.PolicyFleet, pop, nil, false, 0)
+	run := runHotLaunches(p, android.PolicyFleet, pop, nil, nil)
 	out := fmt.Sprintf("hot=%d cold=%d mean=%.6f",
 		run.HotCount, run.ColdCount, meanOverApps(run.All, (*metrics.Sample).Mean))
 	return snapshot.Capture(run.Sys), out
@@ -106,7 +106,7 @@ func TestZramTelemetryFamilies(t *testing.T) {
 	p.Rounds = 2
 	p.Backend = "zram"
 	pop := allCommercial(p)[:4]
-	runHotLaunches(p, android.PolicyFleet, pop, nil, false, 0)
+	runHotLaunches(p, android.PolicyFleet, pop, nil, nil)
 
 	policy := android.PolicyFleet.String()
 	get := func(name, help string) int64 {

@@ -18,7 +18,7 @@ func CaptureTrace(p Params, policy android.PolicyKind) *trace.Log {
 	cfg := systemConfig(p, policy)
 	cfg.Seed = p.Seed
 	sys := android.NewSystem(cfg)
-	log := sys.EnableTrace(0)
+	log := sys.EnableTrace()
 	profiles := apps.CommercialProfiles(p.Scale)[:6]
 	procs := make([]*android.Proc, len(profiles))
 	for i, pr := range profiles {

@@ -65,7 +65,7 @@ func TestFleetFallsBackWhenSwapOffline(t *testing.T) {
 		t.Error("fallback must not arm the BGC card table")
 	}
 	// With no card table, BGC degrades to the default full collection.
-	bgc := f.RunBGC(20 * time.Second)
+	bgc := f.RunBGC()
 	if bgc.Kind != gc.KindMajor {
 		t.Errorf("BGC after skipped grouping ran %q, want major", bgc.Kind)
 	}

@@ -47,11 +47,6 @@ type Result struct {
 	Err error
 }
 
-// TotalGCTime returns pause + concurrent CPU + fault stall.
-func (r *Result) TotalGCTime() time.Duration {
-	return r.PauseSTW + r.GCThreadCPU + r.GCFaultStall
-}
-
 // Add accumulates another result into r (for aggregate stats).
 func (r *Result) Add(o Result) {
 	r.ObjectsTraced += o.ObjectsTraced
@@ -147,7 +142,7 @@ func (rs *RememberedSet) appendCardSeeds(seeds []heap.ObjectID, res *Result) []h
 // Minor runs ART's young-generation concurrent-copying collection: the
 // collection set is every newly-allocated region; liveness comes from the
 // roots plus the remembered set.
-func Minor(h *heap.Heap, rs *RememberedSet, now time.Duration) Result {
+func Minor(h *heap.Heap, rs *RememberedSet) Result {
 	res := Result{Kind: KindMinor}
 
 	var young []*heap.Region
@@ -179,6 +174,20 @@ func Minor(h *heap.Heap, rs *RememberedSet, now time.Duration) Result {
 	return res
 }
 
+// fullEvery is ART's in-use compaction cadence: every fullEvery-th
+// collection of a foreground heap is a full one.
+const fullEvery = 8
+
+// Foreground runs the n-th (1-based) collection of an in-use heap: a young
+// collection, except that every fullEvery-th one is a full compaction. The
+// caller keeps the count.
+func Foreground(h *heap.Heap, rs *RememberedSet, n int) Result {
+	if n%fullEvery == 0 {
+		return Major(h, rs)
+	}
+	return Minor(h, rs)
+}
+
 // EvacuateLiveRatio is the region live-ratio below which a major
 // collection evacuates a region; denser regions are collected in place,
 // as in ART's region-space policy. This matters for swap interaction: the
@@ -190,7 +199,7 @@ const EvacuateLiveRatio = 0.75
 // reachable object — touching all their pages, which is the GC↔swap
 // conflict of §3.2 — then evacuates sparse regions and collects dense ones
 // in place.
-func Major(h *heap.Heap, rs *RememberedSet, now time.Duration) Result {
+func Major(h *heap.Heap, rs *RememberedSet) Result {
 	res := Result{Kind: KindMajor}
 	seeds := h.Roots()
 	res.PauseSTW += FlipPause + time.Duration(len(seeds))*RootScanCPU

@@ -121,7 +121,7 @@ func TestTraceCycles(t *testing.T) {
 func TestMajorCollectsGarbage(t *testing.T) {
 	h := newTestHeap()
 	root, a, b, g := buildGraph(h)
-	res := Major(h, nil, 0)
+	res := Major(h, nil)
 	if res.ObjectsFreed != 1 {
 		t.Errorf("freed %d, want 1", res.ObjectsFreed)
 	}
@@ -144,11 +144,39 @@ func TestMajorCollectsGarbage(t *testing.T) {
 func TestMajorPreservesRefsAcrossCompaction(t *testing.T) {
 	h := newTestHeap()
 	root, a, b, _ := buildGraph(h)
-	Major(h, nil, 0)
+	Major(h, nil)
 	// References are by ID, so the graph structure must be intact and
 	// addresses must have changed (evacuation).
 	if h.Refs(root)[0] != a || h.Refs(a)[0] != b {
 		t.Error("reference graph corrupted by compaction")
+	}
+}
+
+// TestForegroundCadence pins ART's in-use schedule: of 16 consecutive
+// collections of a live foreground heap, the 8th and 16th are full
+// compactions and the rest young-generation ones, and each frees the one
+// garbage object allocated since the last.
+func TestForegroundCadence(t *testing.T) {
+	h := newTestHeap()
+	rs := NewRememberedSet(h)
+	h.WriteBarrier = rs.Barrier
+	root, _, _ := h.Alloc(64, heap.EpochForeground, 0)
+	h.AddRoot(root)
+	for n := 1; n <= 16; n++ {
+		live, _, _ := h.Alloc(64, heap.EpochForeground, 0)
+		h.AddRef(root, live, 0)
+		h.Alloc(64, heap.EpochForeground, 0) // garbage
+		want := KindMinor
+		if n == 8 || n == 16 {
+			want = KindMajor
+		}
+		res := Foreground(h, rs, n)
+		if res.Kind != want || res.ObjectsFreed != 1 {
+			t.Errorf("collection %d: kind %s freed %d, want %s freeing 1", n, res.Kind, res.ObjectsFreed, want)
+		}
+		if got := h.LiveObjects(); got != int64(n+1) {
+			t.Errorf("collection %d: %d live objects, want %d", n, got, n+1)
+		}
 	}
 }
 
@@ -170,7 +198,7 @@ func TestMinorOnlyCollectsYoung(t *testing.T) {
 	youngGarbage, _, _ := h.Alloc(64, heap.EpochForeground, 0)
 	h.AddRef(root, youngLive, 0)
 
-	res := Minor(h, rs, 0)
+	res := Minor(h, rs)
 	if !h.Object(youngLive).Live() {
 		t.Error("live young object collected")
 	}
@@ -209,7 +237,7 @@ func TestMinorUsesRememberedSet(t *testing.T) {
 	if rs.Table().DirtyCards() == 0 {
 		t.Fatal("write barrier did not dirty a card")
 	}
-	res := Minor(h, rs, 0)
+	res := Minor(h, rs)
 	if !h.Object(young).Live() {
 		t.Error("young object reachable only via dirty card was collected")
 	}
@@ -226,7 +254,7 @@ func TestMinorEmptyYoungGeneration(t *testing.T) {
 	root, _, _ := h.Alloc(64, heap.EpochForeground, 0)
 	h.AddRoot(root)
 	h.NoteGCComplete()
-	res := Minor(h, nil, 0)
+	res := Minor(h, nil)
 	if res.ObjectsTraced != 0 || res.ObjectsFreed != 0 {
 		t.Errorf("empty minor GC did work: %+v", res)
 	}
@@ -254,7 +282,7 @@ func TestGCTouchesPagesCausingSwapIns(t *testing.T) {
 		t.Fatal("setup failed: nothing swapped")
 	}
 	swapInsBefore := vm.Stats().SwapIns
-	res := Major(h, nil, 0)
+	res := Major(h, nil)
 	if vm.Stats().SwapIns <= swapInsBefore {
 		t.Error("GC trace did not fault swapped pages back in")
 	}
@@ -290,9 +318,6 @@ func TestResultAdd(t *testing.T) {
 	a.Add(Result{ObjectsTraced: 2, PauseSTW: 5, ObjectsFreed: 3})
 	if a.ObjectsTraced != 3 || a.PauseSTW != 15 || a.ObjectsFreed != 3 {
 		t.Errorf("Add = %+v", a)
-	}
-	if a.TotalGCTime() != 15 {
-		t.Errorf("TotalGCTime = %v", a.TotalGCTime())
 	}
 }
 
@@ -334,7 +359,7 @@ func TestMajorLivenessMatchesReachability(t *testing.T) {
 				}
 			}
 		}
-		Major(h, nil, 0)
+		Major(h, nil)
 		for _, id := range ids {
 			if h.Object(id).Live() != expected[id] {
 				return false
@@ -479,10 +504,10 @@ func TestMajorIdempotent(t *testing.T) {
 		h.AddRef(ids[r.Intn(i)], ids[i], 0)
 	}
 	h.AddRoot(ids[0])
-	Major(h, nil, 0)
+	Major(h, nil)
 	live1 := h.LiveObjects()
 	regions1 := h.RegionCount()
-	res := Major(h, nil, 0)
+	res := Major(h, nil)
 	if h.LiveObjects() != live1 {
 		t.Errorf("second GC changed live set: %d -> %d", live1, h.LiveObjects())
 	}

@@ -2,7 +2,6 @@ package gc
 
 import (
 	"testing"
-	"time"
 
 	"fleetsim/internal/heap"
 	"fleetsim/internal/units"
@@ -43,7 +42,7 @@ func TestMajorKeepsDenseRegionsInPlace(t *testing.T) {
 		addrBefore[id] = h.Object(id).Addr
 	}
 
-	Major(h, nil, time.Second)
+	Major(h, nil)
 
 	for _, id := range dense {
 		if !h.Object(id).Live() {
@@ -76,7 +75,7 @@ func TestMajorEventuallyCompactsDecayedRegions(t *testing.T) {
 		h.AddRef(root, id, 0)
 		ids = append(ids, id)
 	}
-	Major(h, nil, 0)
+	Major(h, nil)
 	regions1 := h.RegionCount()
 
 	// Drop 80% of the references: the dense regions decay.
@@ -86,7 +85,7 @@ func TestMajorEventuallyCompactsDecayedRegions(t *testing.T) {
 			h.AddRef(root, id, 0)
 		}
 	}
-	Major(h, nil, time.Second)
+	Major(h, nil)
 	if h.RegionCount() >= regions1 {
 		t.Errorf("decayed heap not compacted: %d -> %d regions", regions1, h.RegionCount())
 	}

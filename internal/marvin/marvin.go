@@ -206,7 +206,7 @@ func (m *Marvin) IsBookmarked(id heap.ObjectID) bool {
 // stubs for swapped objects (never faulting them), followed by a compacting
 // evacuation of the resident heap. Swap regions are collected in place:
 // dead bookmarked objects release their swap pages without IO.
-func (m *Marvin) RunGC(now time.Duration) gc.Result {
+func (m *Marvin) RunGC() gc.Result {
 	h := m.h
 	res := gc.Result{Kind: gc.KindBookmark}
 
@@ -290,6 +290,3 @@ func (m *Marvin) RunGC(now time.Duration) gc.Result {
 	h.NoteGCComplete()
 	return res
 }
-
-// ResidentOverheadBytes reports Marvin's extra resident memory (stubs).
-func (m *Marvin) ResidentOverheadBytes() int64 { return m.stubBytes }

@@ -143,7 +143,7 @@ func TestBookmarkGCDoesNotTouchSwapped(t *testing.T) {
 		t.Fatal("setup: nothing bookmarked")
 	}
 	swapInsBefore := vm.Stats().SwapIns
-	res := m.RunGC(101 * time.Second)
+	res := m.RunGC()
 	if vm.Stats().SwapIns != swapInsBefore {
 		t.Errorf("bookmark GC faulted %d swapped objects", vm.Stats().SwapIns-swapInsBefore)
 	}
@@ -161,10 +161,10 @@ func TestBookmarkGCConsistencySTWScalesWithStubs(t *testing.T) {
 		id := alloc(h, m, 2048, 0)
 		h.AddRef(root, id, 0)
 	}
-	resNoStubs := m.RunGC(time.Second)
+	resNoStubs := m.RunGC()
 	m.SwapOutCold(100*time.Second, units.GiB)
 	n := m.BookmarkedObjects()
-	resStubs := m.RunGC(101 * time.Second)
+	resStubs := m.RunGC()
 	extra := resStubs.PauseSTW - resNoStubs.PauseSTW
 	if extra < time.Duration(n)*StubSTWPerObject {
 		t.Errorf("stub STW %v too small for %d stubs", extra, n)
@@ -183,7 +183,7 @@ func TestGCFreesSwappedGarbage(t *testing.T) {
 	}
 	slotsBefore := vm.Swap.UsedSlots()
 	h.ClearRefs(root, 101*time.Second) // dead becomes garbage
-	m.RunGC(102 * time.Second)
+	m.RunGC()
 	if h.Object(dead).Live() {
 		t.Error("swapped garbage survived")
 	}
@@ -220,7 +220,7 @@ func TestFaultBackRevivesObject(t *testing.T) {
 		t.Error("object not resident after access")
 	}
 	// Next GC compacts it back into an ordinary pinned region.
-	m.RunGC(102 * time.Second)
+	m.RunGC()
 	if !h.Object(id).Live() {
 		t.Fatal("revived object died in GC")
 	}
@@ -247,7 +247,7 @@ func TestRunGCSurfacesVMemErrors(t *testing.T) {
 	}
 	vm.Swap.SetFaults(func() vmem.FaultState { return vmem.FaultState{OfflineFor: time.Hour} })
 	vm.MaxOfflineWait = time.Millisecond
-	if res := m.RunGC(time.Second); !errors.Is(res.Err, vmem.ErrSwapOffline) {
+	if res := m.RunGC(); !errors.Is(res.Err, vmem.ErrSwapOffline) {
 		t.Errorf("RunGC error = %v, want %v", res.Err, vmem.ErrSwapOffline)
 	}
 }
@@ -274,7 +274,7 @@ func TestHeapPagesPinnedAgainstKernelLRU(t *testing.T) {
 		// Free another address space's memory — here, just release some
 		// of our own young pages to keep the test moving.
 		m.SwapOutCold(1000*time.Second, units.MiB)
-		m.RunGC(1000 * time.Second)
+		m.RunGC()
 		return true
 	}
 	for i := 0; i < 700; i++ {
@@ -307,7 +307,7 @@ func TestGCLivenessWithMixedResidency(t *testing.T) {
 		} // else garbage
 	}
 	m.SwapOutCold(100*time.Second, units.GiB)
-	m.RunGC(101 * time.Second)
+	m.RunGC()
 	// Expected reachability.
 	reach := map[heap.ObjectID]bool{root: true}
 	stack := []heap.ObjectID{root}
@@ -338,16 +338,13 @@ func TestStubAccounting(t *testing.T) {
 	if m.StubBytes() != want {
 		t.Errorf("stub bytes = %d, want %d", m.StubBytes(), want)
 	}
-	if m.ResidentOverheadBytes() != want {
-		t.Error("ResidentOverheadBytes mismatch")
-	}
 }
 
 func TestRunGCKind(t *testing.T) {
 	h, _, m := newRig()
 	root := alloc(h, m, 64, 0)
 	h.AddRoot(root)
-	res := m.RunGC(time.Second)
+	res := m.RunGC()
 	if res.Kind != gc.KindBookmark {
 		t.Errorf("kind = %v", res.Kind)
 	}
@@ -407,7 +404,7 @@ func TestBookmarkCountMatchesTable(t *testing.T) {
 			}
 		}
 		before := m.BookmarkedObjects()
-		res := m.RunGC(now)
+		res := m.RunGC()
 		if res.ObjectsFreed > 0 && m.BookmarkedObjects() < before {
 			diedBookmarked = true
 		}

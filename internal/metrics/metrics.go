@@ -1,68 +1,15 @@
 // Package metrics provides the statistics the evaluation harness reports:
-// streaming summaries, exact-percentile samples and CDFs, mergeable
-// percentile sketches and time series. Everything stores float64s; callers
-// convert durations to milliseconds (the paper's unit) at the edge.
+// exact-percentile samples and CDFs, mergeable percentile sketches and
+// counters, and the speedup and correlation helpers. Everything stores
+// float64s; callers convert durations to milliseconds (the paper's unit)
+// at the edge.
 package metrics
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
-
-// Summary accumulates count/mean/variance/min/max online (Welford).
-type Summary struct {
-	n        int
-	mean, m2 float64
-	min, max float64
-}
-
-// Add records one observation.
-func (s *Summary) Add(x float64) {
-	if s.n == 0 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	s.n++
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
-}
-
-// N returns the number of observations.
-func (s *Summary) N() int { return s.n }
-
-// Mean returns the running mean (0 when empty).
-func (s *Summary) Mean() float64 { return s.mean }
-
-// Min returns the smallest observation (0 when empty).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation (0 when empty).
-func (s *Summary) Max() float64 { return s.max }
-
-// Sum returns mean*n.
-func (s *Summary) Sum() float64 { return s.mean * float64(s.n) }
-
-// StdDev returns the sample standard deviation (0 for n < 2).
-func (s *Summary) StdDev() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return math.Sqrt(s.m2 / float64(s.n-1))
-}
-
-func (s *Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.2f sd=%.2f min=%.2f max=%.2f", s.n, s.Mean(), s.StdDev(), s.min, s.max)
-}
 
 // Sample keeps every observation for exact percentiles and CDFs. The
 // evaluation collects tens of observations per cell, so exactness is cheap.
@@ -193,32 +140,6 @@ func (s *Sample) CDFAt(x float64) float64 {
 	return float64(i) / float64(len(s.xs))
 }
 
-// TimeSeries records (t, value) points, for the paper's timeline figures.
-type TimeSeries struct {
-	T []float64
-	V []float64
-}
-
-// Add appends a point.
-func (ts *TimeSeries) Add(t, v float64) {
-	ts.T = append(ts.T, t)
-	ts.V = append(ts.V, v)
-}
-
-// Len returns the number of points.
-func (ts *TimeSeries) Len() int { return len(ts.T) }
-
-// CSV renders the series as "t,v" lines with the given header.
-func (ts *TimeSeries) CSV(header string) string {
-	var b strings.Builder
-	b.WriteString(header)
-	b.WriteByte('\n')
-	for i := range ts.T {
-		fmt.Fprintf(&b, "%.4f,%.4f\n", ts.T[i], ts.V[i])
-	}
-	return b.String()
-}
-
 // Speedup returns base/x, the paper's convention ("Fleet is 1.59× faster"
 // means androidTime/fleetTime). Returns 0 when x is 0.
 func Speedup(base, x float64) float64 {
@@ -226,21 +147,6 @@ func Speedup(base, x float64) float64 {
 		return 0
 	}
 	return base / x
-}
-
-// GeoMean returns the geometric mean of xs, ignoring non-positive entries.
-func GeoMean(xs []float64) float64 {
-	sum, n := 0.0, 0
-	for _, x := range xs {
-		if x > 0 {
-			sum += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
 }
 
 // Pearson returns the Pearson correlation coefficient of the paired

@@ -3,55 +3,35 @@ package metrics
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"fleetsim/internal/xrand"
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// TestSummaryBasics pins Sample's summary statistics on a classic data
+// set: count, mean, extremes and sample (n−1) standard deviation.
 func TestSummaryBasics(t *testing.T) {
-	var s Summary
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(x)
-	}
+	var s Sample
+	s.AddAll(2, 4, 4, 4, 5, 5, 7, 9)
 	if s.N() != 8 {
 		t.Errorf("N = %d", s.N())
 	}
 	if !almost(s.Mean(), 5, 1e-9) {
 		t.Errorf("Mean = %v", s.Mean())
 	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v", s.Min(), s.Max())
+	if lo, hi := s.Percentile(0), s.Percentile(100); lo != 2 || hi != 9 {
+		t.Errorf("Min/Max = %v/%v", lo, hi)
 	}
-	// Sample (n-1) std dev of this classic dataset is ~2.138.
 	if !almost(s.StdDev(), 2.13809, 1e-4) {
 		t.Errorf("StdDev = %v", s.StdDev())
 	}
 }
 
 func TestSummaryEmpty(t *testing.T) {
-	var s Summary
+	var s Sample
 	if s.Mean() != 0 || s.StdDev() != 0 || s.N() != 0 {
-		t.Error("empty summary should be all zeros")
-	}
-}
-
-func TestSummaryMatchesSample(t *testing.T) {
-	r := xrand.New(99)
-	f := func(seed uint32) bool {
-		var sum Summary
-		var smp Sample
-		n := 2 + int(seed%100)
-		for i := 0; i < n; i++ {
-			x := r.Float64() * 1000
-			sum.Add(x)
-			smp.Add(x)
-		}
-		return almost(sum.Mean(), smp.Mean(), 1e-6) && almost(sum.StdDev(), smp.StdDev(), 1e-6)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
+		t.Error("empty sample should report all zeros")
 	}
 }
 
@@ -135,38 +115,12 @@ func TestSampleAddAfterSortedRead(t *testing.T) {
 	}
 }
 
-func TestTimeSeriesCSV(t *testing.T) {
-	var ts TimeSeries
-	ts.Add(1, 2)
-	ts.Add(3, 4)
-	got := ts.CSV("t,v")
-	want := "t,v\n1.0000,2.0000\n3.0000,4.0000\n"
-	if got != want {
-		t.Errorf("CSV = %q", got)
-	}
-	if ts.Len() != 2 {
-		t.Errorf("Len = %d", ts.Len())
-	}
-}
-
 func TestSpeedup(t *testing.T) {
 	if got := Speedup(300, 100); !almost(got, 3, 1e-9) {
 		t.Errorf("Speedup = %v", got)
 	}
 	if Speedup(300, 0) != 0 {
 		t.Error("Speedup by zero should be 0")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 100}); !almost(got, 10, 1e-9) {
-		t.Errorf("GeoMean = %v", got)
-	}
-	if got := GeoMean([]float64{2, 0, 8, -3}); !almost(got, 4, 1e-9) {
-		t.Errorf("GeoMean ignoring non-positive = %v", got)
-	}
-	if GeoMean(nil) != 0 {
-		t.Error("GeoMean of nothing should be 0")
 	}
 }
 

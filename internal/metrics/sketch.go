@@ -13,11 +13,11 @@
 // bucket layout with int64 counts gives the guarantee for free: merging is
 // integer addition per bucket, and ints commute.
 //
-// Accuracy: a value x > 0 lands in bucket ⌈log_γ x⌉ with γ = (1+α)/(1−α),
-// so every bucket's midpoint estimate is within relative error α of any
-// value in the bucket. Quantile queries walk the (sorted) buckets to the
-// target rank and return the bucket estimate, clamped to the observed
-// [min, max].
+// Accuracy: a value x > 0 lands in bucket ⌈log_γ x⌉ with γ = (1+α)/(1−α)
+// and α = 1%, so every bucket's midpoint estimate is within relative
+// error α of any value in the bucket. Quantile queries walk the (sorted)
+// buckets to the target rank and return the bucket estimate, clamped to
+// the observed [min, max].
 package metrics
 
 import (
@@ -27,9 +27,18 @@ import (
 	"sort"
 )
 
-// DefaultSketchAlpha is the default relative-error bound of a Sketch:
-// every reported quantile is within 1% of the true value's magnitude.
-const DefaultSketchAlpha = 0.01
+// sketchAlpha is every Sketch's relative-error bound: each reported
+// quantile is within 1% of the true value's magnitude.
+const sketchAlpha = 0.01
+
+// sketchGamma is the bucket growth factor γ = (1+α)/(1−α) and
+// sketchLogGamma its natural log. They are float64 variables rather than
+// constants so that expressions such as γ+1 round in float64 arithmetic,
+// not in Go's exact constant arithmetic.
+var (
+	sketchGamma    = (1 + sketchAlpha) / (1 - sketchAlpha)
+	sketchLogGamma = math.Log(sketchGamma)
+)
 
 // sketchMinValue is the smallest indexable observation; values in
 // (0, sketchMinValue] fold into the zero bucket rather than producing
@@ -41,10 +50,6 @@ const sketchMinValue = 1e-6
 // observations (latency ms, pause ms, byte counts). The zero value is not
 // ready to use; start with NewSketch.
 type Sketch struct {
-	alpha    float64
-	gamma    float64
-	logGamma float64
-
 	zero    int64 // observations ≤ sketchMinValue
 	total   int64
 	min     float64
@@ -52,23 +57,12 @@ type Sketch struct {
 	buckets map[int]int64
 }
 
-// NewSketch returns an empty sketch at DefaultSketchAlpha.
-func NewSketch() *Sketch { return NewSketchAlpha(DefaultSketchAlpha) }
-
-// NewSketchAlpha returns an empty sketch with the given relative-error
-// bound (0 < alpha < 1).
-func NewSketchAlpha(alpha float64) *Sketch {
-	if !(alpha > 0 && alpha < 1) {
-		panic(fmt.Sprintf("metrics: sketch alpha %v out of (0,1)", alpha))
-	}
-	gamma := (1 + alpha) / (1 - alpha)
+// NewSketch returns an empty sketch.
+func NewSketch() *Sketch {
 	return &Sketch{
-		alpha:    alpha,
-		gamma:    gamma,
-		logGamma: math.Log(gamma),
-		min:      math.Inf(1),
-		max:      math.Inf(-1),
-		buckets:  make(map[int]int64),
+		min:     math.Inf(1),
+		max:     math.Inf(-1),
+		buckets: make(map[int]int64),
 	}
 }
 
@@ -101,13 +95,13 @@ func (s *Sketch) ObserveN(x float64, n int64) {
 
 // index maps a positive value to its bucket: the smallest i with γ^i ≥ x.
 func (s *Sketch) index(x float64) int {
-	return int(math.Ceil(math.Log(x) / s.logGamma))
+	return int(math.Ceil(math.Log(x) / sketchLogGamma))
 }
 
 // value is the midpoint estimate of bucket i: 2γ^i/(γ+1), within relative
-// error alpha of every value in (γ^(i-1), γ^i].
+// error α of every value in (γ^(i-1), γ^i].
 func (s *Sketch) value(i int) float64 {
-	return 2 * math.Pow(s.gamma, float64(i)) / (s.gamma + 1)
+	return 2 * math.Pow(sketchGamma, float64(i)) / (sketchGamma + 1)
 }
 
 // Count returns the number of observations.
@@ -129,19 +123,13 @@ func (s *Sketch) Max() float64 {
 	return s.max
 }
 
-// Alpha returns the sketch's relative-error bound.
-func (s *Sketch) Alpha() float64 { return s.alpha }
-
-// Merge folds o into s. Both sketches must have been built with the same
-// alpha; merging is exactly associative and commutative (integer adds plus
-// min/max), so any merge tree over the same shard set yields an identical
-// sketch — the guarantee shard-parallel campaigns rely on.
+// Merge folds o into s. Merging is exactly associative and commutative
+// (integer adds plus min/max), so any merge tree over the same shard set
+// yields an identical sketch — the guarantee shard-parallel campaigns rely
+// on.
 func (s *Sketch) Merge(o *Sketch) {
 	if o == nil || o.total == 0 {
 		return
-	}
-	if s.alpha != o.alpha {
-		panic(fmt.Sprintf("metrics: merging sketches with different alpha (%v vs %v)", s.alpha, o.alpha))
 	}
 	s.total += o.total
 	s.zero += o.zero
@@ -157,7 +145,7 @@ func (s *Sketch) Merge(o *Sketch) {
 }
 
 // Quantile returns the estimated q-quantile (0 ≤ q ≤ 1) with relative
-// error at most alpha, or 0 for an empty sketch.
+// error at most α, or 0 for an empty sketch.
 func (s *Sketch) Quantile(q float64) float64 {
 	if s.total == 0 {
 		return 0
@@ -234,7 +222,7 @@ type sketchJSON struct {
 
 // MarshalJSON encodes the sketch with buckets in ascending index order.
 func (s *Sketch) MarshalJSON() ([]byte, error) {
-	w := sketchJSON{Alpha: s.alpha, Zero: s.zero, Total: s.total}
+	w := sketchJSON{Alpha: sketchAlpha, Zero: s.zero, Total: s.total}
 	if s.total > 0 {
 		w.Min, w.Max = s.min, s.max
 	}
@@ -250,7 +238,9 @@ func (s *Sketch) MarshalJSON() ([]byte, error) {
 	return json.Marshal(w)
 }
 
-// UnmarshalJSON restores a sketch from its wire form.
+// UnmarshalJSON restores a sketch from its wire form. The bucket indices
+// are only meaningful at sketchAlpha, so any other bound is an error; an
+// absent (zero) bound reads as sketchAlpha.
 func (s *Sketch) UnmarshalJSON(data []byte) error {
 	var w sketchJSON
 	if err := json.Unmarshal(data, &w); err != nil {
@@ -259,11 +249,10 @@ func (s *Sketch) UnmarshalJSON(data []byte) error {
 	if len(w.Idx) != len(w.N) {
 		return fmt.Errorf("metrics: sketch idx/n length mismatch (%d vs %d)", len(w.Idx), len(w.N))
 	}
-	alpha := w.Alpha
-	if alpha == 0 {
-		alpha = DefaultSketchAlpha
+	if w.Alpha != 0 && w.Alpha != sketchAlpha {
+		return fmt.Errorf("metrics: sketch alpha %v, want %v", w.Alpha, sketchAlpha)
 	}
-	*s = *NewSketchAlpha(alpha)
+	*s = *NewSketch()
 	s.zero = w.Zero
 	s.total = w.Total
 	if s.total > 0 {

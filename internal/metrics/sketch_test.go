@@ -53,8 +53,8 @@ func TestSketchQuantileErrorBounds(t *testing.T) {
 			continue
 		}
 		rel := math.Abs(got-want) / want
-		if rel > 2*s.Alpha() {
-			t.Errorf("q=%v: got %v, want %v (rel err %.4f > %.4f)", q, got, want, rel, 2*s.Alpha())
+		if rel > 2*sketchAlpha {
+			t.Errorf("q=%v: got %v, want %v (rel err %.4f > %.4f)", q, got, want, rel, 2*sketchAlpha)
 		}
 	}
 	if s.Min() != vals[0] || s.Max() != vals[n-1] {
@@ -162,6 +162,42 @@ func TestSketchJSONRoundTrip(t *testing.T) {
 	bb, _ := json.Marshal(b)
 	if !bytes.Equal(ba, bb) {
 		t.Fatalf("merge of round-tripped sketch differs")
+	}
+}
+
+// TestSketchUnmarshalAlpha pins the wire form's error bound: a journal
+// line reads back only at "alpha":0.01 or 0 (the bound unset), and either
+// re-marshals to the same bytes; a sketch bucketed at another bound is an
+// error, not a silently misread distribution.
+func TestSketchUnmarshalAlpha(t *testing.T) {
+	s := NewSketch()
+	s.ObserveN(0, 3)
+	s.Observe(12.5)
+	s.Observe(480)
+	want, err := json.Marshal(s)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	field := []byte(`"alpha":0.01,`)
+	if !bytes.Contains(want, field) {
+		t.Fatalf("wire form lacks %s: %s", field, want)
+	}
+	for _, alpha := range []string{`"alpha":0,`, `"alpha":0.01,`} {
+		var r Sketch
+		if err := json.Unmarshal(bytes.Replace(want, field, []byte(alpha), 1), &r); err != nil {
+			t.Fatalf("%s: unmarshal: %v", alpha, err)
+		}
+		got, err := json.Marshal(&r)
+		if err != nil {
+			t.Fatalf("%s: re-marshal: %v", alpha, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: re-marshal differs:\n got %s\nwant %s", alpha, got, want)
+		}
+	}
+	var r Sketch
+	if err := json.Unmarshal(bytes.Replace(want, field, []byte(`"alpha":0.02,`), 1), &r); err == nil {
+		t.Error("alpha 0.02 accepted")
 	}
 }
 

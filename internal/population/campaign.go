@@ -208,9 +208,8 @@ type Opts struct {
 	// gracefully: in-flight shards finish and checkpoint, the rest are
 	// skipped and counted in Result.SkippedShards.
 	Interrupted func() bool
-	// Deadline / Retries supervise each shard leg (see runner.Policy).
+	// Deadline bounds each shard leg (see runner.Policy).
 	Deadline time.Duration
-	Retries  int
 }
 
 // Result is a finished (or interrupted) campaign.
@@ -229,8 +228,8 @@ type Result struct {
 	Devices int64
 	// Merges counts shard-aggregate merges performed at the coordinator.
 	Merges int64
-	// Errors lists failed shard legs (panic, timeout, exhausted
-	// retries). A campaign with errors is incomplete.
+	// Errors lists failed shard legs (panic, timeout, refused
+	// checkpoint). A campaign with errors is incomplete.
 	Errors []string
 }
 
@@ -276,7 +275,7 @@ func Run(spec Spec, opts Opts) (*Result, error) {
 		shards = append(shards, shard{lo, hi})
 	}
 
-	pol := runner.Policy{Deadline: opts.Deadline, Retries: opts.Retries}
+	pol := runner.Policy{Deadline: opts.Deadline}
 	outs, legErrs := runner.SupervisedMap(shards, pol, func(_ int, sh shard) (shardOut, error) {
 		cell := fmt.Sprintf("population/%s/%06d-%06d", specDigest, sh.lo, sh.hi)
 		if opts.Store != nil {

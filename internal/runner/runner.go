@@ -45,10 +45,6 @@ func Parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Serial reports whether Map currently runs tasks inline on the caller's
-// goroutine.
-func Serial() bool { return Parallelism() == 1 }
-
 // Map applies fn to every element of items on up to Parallelism() worker
 // goroutines and returns the results in input order. With parallelism 1
 // (or one item, or no items) everything runs inline on the caller's

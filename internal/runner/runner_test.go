@@ -16,8 +16,8 @@ func TestParallelismDefaults(t *testing.T) {
 		t.Fatalf("negative parallelism = %d, want GOMAXPROCS %d", got, want)
 	}
 	SetParallelism(1)
-	if !Serial() {
-		t.Fatal("parallelism 1 should report Serial()")
+	if got := Parallelism(); got != 1 {
+		t.Fatalf("parallelism = %d, want 1", got)
 	}
 	SetParallelism(7)
 	if got := Parallelism(); got != 7 {

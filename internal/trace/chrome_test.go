@@ -18,7 +18,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // advise instant on the memory lane, lifecycle instants, and a
 // system-lane event with no app.
 func chromeTestLog() *Log {
-	l := New(0)
+	l := New()
 	l.Emit(Event{At: 0, Kind: KindState, App: "app.maps", Detail: "foreground"})
 	l.Emit(Event{At: 1 * time.Millisecond, Kind: KindLaunch, App: "app.maps", Detail: "cold", Dur: 120 * time.Millisecond})
 	l.Emit(Event{At: 50 * time.Millisecond, Kind: KindGC, App: "app.maps", Detail: "concurrent", Dur: 8 * time.Millisecond, N: 1000})
@@ -102,7 +102,7 @@ func TestChromeStructure(t *testing.T) {
 }
 
 func TestChromeNilAndEmpty(t *testing.T) {
-	for _, l := range []*Log{nil, New(0)} {
+	for _, l := range []*Log{nil, New()} {
 		data, err := l.ChromeJSON()
 		if err != nil {
 			t.Fatal(err)

@@ -1,12 +1,12 @@
 // Package trace is the simulator's systrace analogue: a structured event
 // log the system layer emits launches, collections, kills and swap-advice
 // events into. The paper's artifact drives Perfetto over Android's system
-// trace for exactly these event classes (§B.5.3); here the log can be
-// exported as JSON or CSV and filtered programmatically.
+// trace for exactly these event classes (§B.5.3); here the log renders
+// as CSV or as Chrome trace-event JSON (chrome.go) and can be filtered
+// programmatically.
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -21,7 +21,9 @@ const (
 	KindLaunch Kind = "launch"
 	// KindGC is one garbage collection; Detail is the collector kind.
 	KindGC Kind = "gc"
-	// KindKill is an lmkd kill; Detail is "hard" or "psi".
+	// KindKill is a process kill; Detail is the cause: "hard", "psi" or
+	// "swam" (lmkd), "oom" (allocation failure), "fault" or "crash"
+	// (injected faults).
 	KindKill Kind = "kill"
 	// KindAdvise is a madvise call; Detail is "cold" or "hot".
 	KindAdvise Kind = "advise"
@@ -51,18 +53,14 @@ type Event struct {
 // emitters never need a nil check.
 type Log struct {
 	events []Event
-	max    int
 }
 
-// New returns a log retaining at most max events (0 = unlimited).
-func New(max int) *Log { return &Log{max: max} }
+// New returns an empty log.
+func New() *Log { return &Log{} }
 
 // Emit appends an event. Safe on a nil log.
 func (l *Log) Emit(e Event) {
 	if l == nil {
-		return
-	}
-	if l.max > 0 && len(l.events) >= l.max {
 		return
 	}
 	l.events = append(l.events, e)
@@ -98,14 +96,6 @@ func (l *Log) Filter(kind Kind, app string) []Event {
 	return out
 }
 
-// JSON renders the whole log as a JSON array.
-func (l *Log) JSON() ([]byte, error) {
-	if l == nil {
-		return []byte("[]"), nil
-	}
-	return json.MarshalIndent(l.events, "", " ")
-}
-
 // CSV renders the log as CSV with millisecond timestamps.
 func (l *Log) CSV() string {
 	var b strings.Builder
@@ -119,29 +109,4 @@ func (l *Log) CSV() string {
 			float64(e.Dur)/float64(time.Millisecond), e.N)
 	}
 	return b.String()
-}
-
-// Summary aggregates counts and total durations per (kind, detail).
-func (l *Log) Summary() map[string]struct {
-	Count int
-	Total time.Duration
-} {
-	out := map[string]struct {
-		Count int
-		Total time.Duration
-	}{}
-	if l == nil {
-		return out
-	}
-	for _, e := range l.events {
-		k := string(e.Kind)
-		if e.Detail != "" {
-			k += "/" + e.Detail
-		}
-		s := out[k]
-		s.Count++
-		s.Total += e.Dur
-		out[k] = s
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -13,19 +12,13 @@ func TestNilLogIsSafe(t *testing.T) {
 	if l.Len() != 0 || l.Events() != nil || l.Filter(KindGC, "") != nil {
 		t.Error("nil log should drop everything")
 	}
-	if b, err := l.JSON(); err != nil || string(b) != "[]" {
-		t.Errorf("nil JSON = %q, %v", b, err)
-	}
 	if !strings.HasPrefix(l.CSV(), "time_ms,") {
 		t.Error("nil CSV missing header")
-	}
-	if len(l.Summary()) != 0 {
-		t.Error("nil summary not empty")
 	}
 }
 
 func TestEmitAndFilter(t *testing.T) {
-	l := New(0)
+	l := New()
 	l.Emit(Event{At: time.Second, Kind: KindLaunch, App: "A", Detail: "hot", Dur: 100 * time.Millisecond})
 	l.Emit(Event{At: 2 * time.Second, Kind: KindGC, App: "A", Detail: "major", N: 500})
 	l.Emit(Event{At: 3 * time.Second, Kind: KindLaunch, App: "B", Detail: "cold"})
@@ -42,51 +35,11 @@ func TestEmitAndFilter(t *testing.T) {
 	}
 }
 
-func TestMaxCap(t *testing.T) {
-	l := New(2)
-	for i := 0; i < 5; i++ {
-		l.Emit(Event{Kind: KindGC})
-	}
-	if l.Len() != 2 {
-		t.Errorf("len = %d, want capped at 2", l.Len())
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	l := New(0)
-	l.Emit(Event{At: time.Second, Kind: KindKill, App: "X", Detail: "psi"})
-	b, err := l.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back []Event
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 1 || back[0].Kind != KindKill || back[0].App != "X" {
-		t.Errorf("round trip = %+v", back)
-	}
-}
-
 func TestCSVFormat(t *testing.T) {
-	l := New(0)
+	l := New()
 	l.Emit(Event{At: 1500 * time.Millisecond, Kind: KindGC, App: "A", Detail: "bgc", Dur: 20 * time.Millisecond, N: 42})
 	csv := l.CSV()
 	if !strings.Contains(csv, "1500.000,gc,A,bgc,20.000,42") {
 		t.Errorf("csv = %q", csv)
-	}
-}
-
-func TestSummary(t *testing.T) {
-	l := New(0)
-	l.Emit(Event{Kind: KindGC, Detail: "major", Dur: 10 * time.Millisecond})
-	l.Emit(Event{Kind: KindGC, Detail: "major", Dur: 5 * time.Millisecond})
-	l.Emit(Event{Kind: KindGC, Detail: "bgc", Dur: time.Millisecond})
-	s := l.Summary()
-	if s["gc/major"].Count != 2 || s["gc/major"].Total != 15*time.Millisecond {
-		t.Errorf("summary = %+v", s)
-	}
-	if s["gc/bgc"].Count != 1 {
-		t.Errorf("summary = %+v", s)
 	}
 }

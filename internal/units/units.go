@@ -25,9 +25,6 @@ const PageSize int64 = 4 * KiB
 // RegionSize is the default ART heap-region size (Table 2 of the paper).
 const RegionSize int64 = 256 * KiB
 
-// PagesPerRegion is how many swap-granularity pages one heap region spans.
-const PagesPerRegion = RegionSize / PageSize
-
 // Bytes formats a byte count in a human-readable way ("1.50 MiB").
 func Bytes(n int64) string {
 	switch {
@@ -50,16 +47,8 @@ func PagesFor(n int64) int64 {
 	return (n + PageSize - 1) / PageSize
 }
 
-// PageFloor rounds an address down to its page boundary.
-func PageFloor(addr int64) int64 { return addr &^ (PageSize - 1) }
-
 // PageIndex returns the page number containing addr.
 func PageIndex(addr int64) int64 { return addr / PageSize }
-
-// Millis formats a duration as fractional milliseconds ("273.4 ms").
-func Millis(d time.Duration) string {
-	return fmt.Sprintf("%.1f ms", float64(d)/float64(time.Millisecond))
-}
 
 // TransferTime returns how long moving n bytes takes at bandwidth
 // bytesPerSec. It saturates rather than overflowing for very large inputs.

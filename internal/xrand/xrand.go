@@ -212,11 +212,3 @@ func (r *Rand) Perm(n int) []int {
 	}
 	return p
 }
-
-// Shuffle randomizes the order of n elements via the provided swap func.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
