@@ -51,7 +51,6 @@ var (
 	rounds        = flag.Int("rounds", 10, "default launch rounds")
 	seed          = flag.Uint64("seed", 1, "default simulation seed")
 	deadline      = flag.Duration("timeout", 0, "wall-clock deadline per job cell (0 = none)")
-	retries       = flag.Int("retries", 1, "retry budget per transiently-failed cell")
 	tenantWeights = flag.String("tenant-weights", "",
 		"per-tenant fair-share weights as name=weight,... (weight 0 refuses the tenant at submit)")
 	defaultTenantWeight = flag.Int("default-tenant-weight", 1, "fair-share weight for tenants not named in -tenant-weights")
@@ -100,7 +99,6 @@ func main() {
 		JournalPath:         *journal,
 		Params:              p,
 		Deadline:            *deadline,
-		Retries:             *retries,
 		Telemetry:           reg,
 		TenantWeights:       weights,
 		DefaultTenantWeight: *defaultTenantWeight,

@@ -52,7 +52,6 @@ var (
 	parallel   = flag.Int("parallel", 0, "worker count for experiment legs (0 = GOMAXPROCS, 1 = serial)")
 	seeds      = flag.Int("seeds", 3, "seeds per fault profile for the chaos harness")
 	timeout    = flag.Duration("timeout", 0, "wall-clock deadline per experiment and per chaos cell (0 = none)")
-	retries    = flag.Int("retries", 1, "retry budget for transient chaos-cell failures")
 	backend    = flag.String("backend", "", "swap backend for all experiments: flash (default) or zram")
 	devices    = flag.Int("devices", 0, "fleet size for the population campaign (0 = campaign default)")
 	tiers      = flag.String("tiers", "", "population tier mix as name:weight,... (e.g. low:3,mid:5,high:2; empty = default mix)")
@@ -98,12 +97,10 @@ var table []experiment
 
 var localEntries = []experiment{
 	{"chaos", "fault-injection chaos harness (4 profiles + zram/Swam variants x -seeds seeds, determinism + invariants)", true, func(p fleet.Params) string {
-		opts := fleet.ChaosOpts{
-			Seeds:       *seeds,
-			Deadline:    *timeout,
-			Retries:     *retries,
+		opts := fleet.ChaosOpts{Seeds: *seeds, Campaign: fleet.Campaign{
+			Policy:      fleet.SupervisePolicy{Deadline: *timeout},
 			Interrupted: interrupted.Load,
-		}
+		}}
 		if *ckptDir != "" {
 			st, err := fleet.OpenCheckpoint(filepath.Join(*ckptDir, "chaos.jsonl"), fleet.ChaosCampaignKey(p))
 			if err != nil {
@@ -111,7 +108,7 @@ var localEntries = []experiment{
 				return fmt.Sprintf("fleetsim: chaos checkpoint: %v\n", err)
 			}
 			defer st.Close()
-			opts.Store = st
+			opts.Campaign.Journal = st
 		}
 		rep := fleet.ChaosSupervised(p, opts)
 		// An interrupted campaign is incomplete, not failed: the partial
@@ -216,11 +213,6 @@ func main() {
 	}
 	p := params()
 	fleet.SetParallelism(*parallel) // again: -parallel may have come trailing
-	// The population campaign shares the SIGINT latch and per-cell deadline
-	// with the chaos harness: interrupt stops it at the next device-range
-	// boundary with checkpoints flushed.
-	fleet.SetPopulationInterrupt(interrupted.Load)
-	fleet.SetPopulationDeadline(*timeout)
 
 	// First SIGINT/SIGTERM: stop campaigns at the next cell boundary,
 	// flush checkpoints, print the partial summary, exit 130. Second
@@ -236,6 +228,14 @@ func main() {
 		os.Exit(130)
 	}()
 
+	// The population campaign shares the SIGINT latch and per-cell deadline
+	// with the chaos harness: interrupt stops it at the next device-range
+	// boundary with checkpoints flushed. It and the figure sweeps journal
+	// into sweep.jsonl.
+	camp := fleet.Campaign{
+		Policy:      fleet.SupervisePolicy{Deadline: *timeout},
+		Interrupted: interrupted.Load,
+	}
 	var sweepStore *fleet.CheckpointStore
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
@@ -258,9 +258,10 @@ func main() {
 			os.Exit(1)
 		}
 		defer st.Close()
-		fleet.SetSweepCheckpointStore(st)
+		camp.Journal = st // only when opened: a nil *CheckpointStore is not a nil Journal
 		sweepStore = st
 	}
+	fleet.SetCampaign(camp)
 	// Reject unknown names up front, listing the registry instead of a
 	// hand-maintained usage string.
 	known := map[string]bool{"all": true}
@@ -362,7 +363,7 @@ func main() {
 		}
 	}
 	if interrupted.Load() {
-		fleet.SetSweepCheckpointStore(nil) // flushed by the deferred Close
+		fleet.SetCampaign(fleet.Campaign{}) // journal flushed by the deferred Close
 		fmt.Fprintln(os.Stderr, "fleetsim: interrupted; partial results above — rerun with -resume to complete")
 		exitAfterDefers(130)
 	}

@@ -1,11 +1,9 @@
 // The paper's evaluation as a library: experiment parameters, one pure
 // runner per table/figure, the shared name→runner registry both frontends
-// resolve through, and the process-wide parallelism knobs.
+// resolve through, and the process-wide parallelism and campaign knobs.
 package fleet
 
 import (
-	"time"
-
 	"fleetsim/internal/experiments"
 	"fleetsim/internal/runner"
 )
@@ -99,25 +97,19 @@ func ExperimentByName(name string) *ExperimentSpec { return experiments.ByName(n
 func ExperimentNames() []string { return experiments.Names() }
 
 // RunPopulation runs the device-fleet campaign (the "population"
-// experiment): Params in, rendered per-tier report out. Shards checkpoint
-// into the sweep store when one is installed.
+// experiment): Params in, rendered per-tier report out. Shards run under
+// the campaign installed by SetCampaign.
 func RunPopulation(p Params) string { return experiments.RunPopulation(p) }
-
-// SetPopulationInterrupt installs (nil: removes) the graceful-stop hook
-// the population campaign polls at device-range boundaries.
-func SetPopulationInterrupt(fn func() bool) { experiments.SetPopulationInterrupt(fn) }
-
-// SetPopulationDeadline sets the per-shard supervision deadline for the
-// population campaign (0 = none).
-func SetPopulationDeadline(d time.Duration) { experiments.SetPopulationDeadline(d) }
 
 // SweepCampaignKey is the campaign key for the figure sweeps' checkpoints.
 func SweepCampaignKey(p Params) string { return experiments.SweepCampaignKey(p) }
 
-// SetSweepCheckpointStore installs (nil: removes) the store the figure
-// sweeps (Fig13/Fig15/Fig16) record their policy legs in, making
-// interrupted sweeps resumable.
-func SetSweepCheckpointStore(st *CheckpointStore) { experiments.SetCheckpointStore(st) }
+// SetCampaign installs the campaign the registered experiments run under:
+// the population campaign runs its shards under all of it (deadline,
+// journal, interrupt), and the figure sweeps (Fig13/Fig15/Fig16) record
+// their policy legs in its Journal, making interrupted runs resumable.
+// The zero Campaign removes it.
+func SetCampaign(c Campaign) { experiments.SetCampaign(c) }
 
 // SetParallelism sets the process-wide worker count the experiment runners
 // fan out on. n <= 0 means GOMAXPROCS; 1 forces fully serial execution.

@@ -32,9 +32,9 @@ func ChaosPassed(rows []ChaosRow) bool { return experiments.ChaosPassed(rows) }
 // FormatChaos renders the chaos table plus a PASS/FAIL verdict line.
 func FormatChaos(rows []ChaosRow) string { return experiments.FormatChaos(rows) }
 
-// ChaosOpts configures a supervised chaos campaign: seeds per profile,
-// per-cell deadline and retry budget, checkpoint store, interruption poll
-// and digest sampling period for divergence bisection.
+// ChaosOpts configures a supervised chaos campaign: seeds per profile and
+// the Campaign (per-cell deadline, checkpoint journal, interruption poll)
+// its cells run under.
 type ChaosOpts = experiments.ChaosOpts
 
 // ChaosReport is the outcome of a supervised chaos campaign: rows, leg

@@ -1,6 +1,7 @@
-// Running simulations as managed work: the supervised fan-out primitives,
-// the crash-tolerant checkpoint journal, and the fleetd daemon core
-// (bounded job queue, worker pool, durable resume).
+// Running simulations as managed work: the supervised fan-out primitive,
+// the campaign that checkpoints and interrupts it, the crash-tolerant
+// checkpoint journal, and the fleetd daemon core (bounded job queue,
+// worker pool, durable resume).
 package fleet
 
 import (
@@ -10,24 +11,24 @@ import (
 )
 
 // LegError describes one failed leg of a supervised fan-out: which item,
-// how many attempts, whether it panicked or timed out, and the stack.
+// whether it panicked or timed out, and the stack.
 type LegError = runner.LegError
 
-// SupervisePolicy bounds supervised legs: wall-clock deadline, retry
-// budget, and a retryability filter.
+// SupervisePolicy bounds supervised legs by a wall-clock deadline.
 type SupervisePolicy = runner.Policy
 
-// SupervisedMap fans items out on the worker pool with panic isolation,
-// per-leg deadlines and bounded retries; failed legs come back as
-// LegErrors instead of aborting the batch.
+// SupervisedMap fans items out on the worker pool with panic isolation
+// and per-leg deadlines; failed legs come back as LegErrors instead of
+// aborting the batch.
 func SupervisedMap[T, R any](items []T, pol SupervisePolicy, fn func(int, T) (R, error)) ([]R, []*LegError) {
 	return runner.SupervisedMap(items, pol, fn)
 }
 
-// TryMap is SupervisedMap with the zero Policy: panic isolation only.
-func TryMap[T, R any](items []T, fn func(int, T) (R, error)) ([]R, []*LegError) {
-	return runner.TryMap(items, fn)
-}
+// Campaign is how a long campaign runs its cells: a SupervisePolicy, an
+// optional checkpoint Journal (a *CheckpointStore; leave it unset rather
+// than storing a nil pointer) and an optional interrupt poll. Journaled
+// cells are answered even after an interrupt; the others are skipped.
+type Campaign = runner.Campaign
 
 // CheckpointStore is an append-only JSONL journal of completed campaign
 // cells; see internal/snapshot for the journal format and crash tolerance.

@@ -22,10 +22,10 @@ const (
 	PolicySwam
 )
 
-// PolicyInfo is one registry entry: the typed kind, its canonical name and
+// policyInfo is one registry entry: the typed kind, its canonical name and
 // the constructor that installs the policy's per-process hooks into a
 // freshly launched proc.
-type PolicyInfo struct {
+type policyInfo struct {
 	Kind PolicyKind
 	Name string
 	Wire func(p *Proc)
@@ -35,18 +35,11 @@ type PolicyInfo struct {
 // flags, fleetd JobSpec validation, the experiment registry and the
 // population parser all resolve through it, so a new policy registers here
 // once instead of being switch-cased in three places.
-var policyRegistry = []PolicyInfo{
+var policyRegistry = []policyInfo{
 	{PolicyAndroid, "Android", wireDefault},
 	{PolicyMarvin, "Marvin", wireMarvin},
 	{PolicyFleet, "Fleet", wireFleet},
 	{PolicySwam, "Swam", wireDefault},
-}
-
-// Policies returns the registry entries in registration order.
-func Policies() []PolicyInfo {
-	out := make([]PolicyInfo, len(policyRegistry))
-	copy(out, policyRegistry)
-	return out
 }
 
 // PolicyNames lists the canonical policy names for CLI/API error messages.
@@ -58,10 +51,10 @@ func PolicyNames() []string {
 	return names
 }
 
-// Info returns the registry entry for the kind (the PolicyAndroid entry for
+// info returns the registry entry for the kind (the PolicyAndroid entry for
 // an out-of-range value, mirroring String's "unknown" leniency but keeping
 // a usable Wire hook).
-func (p PolicyKind) Info() PolicyInfo {
+func (p PolicyKind) info() policyInfo {
 	for _, e := range policyRegistry {
 		if e.Kind == p {
 			return e

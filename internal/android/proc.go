@@ -73,7 +73,7 @@ func (p *Proc) LastForeground() time.Duration { return p.lastFg }
 // the policy registry.
 func (p *Proc) wirePolicy() {
 	p.RS = gc.NewRememberedSet(p.App.H)
-	p.sys.Cfg.Policy.Info().Wire(p)
+	p.sys.Cfg.Policy.info().Wire(p)
 }
 
 // wireFleet attaches the paper's system: BGC machinery plus a composite

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"fleetsim/internal/android"
@@ -103,10 +101,10 @@ func (r ChaosRow) key() string {
 func (r ChaosRow) Clean() bool { return r.Err == "" && len(r.Violations) == 0 }
 
 // chaosRun executes the full app-lifecycle workload once under a fault
-// profile with the always-on invariant checker, and summarises it. When
-// digestEvery > 0, a snapshot recorder samples per-tick state digests of
-// every subsystem; the divergence bisector replays cells with this on.
-func chaosRun(p Params, cell chaosCell, digestEvery time.Duration) (ChaosRow, []snapshot.SystemDigest) {
+// profile with the always-on invariant checker, and summarises it. A
+// non-nil rec samples per-tick state digests of every subsystem; the
+// divergence bisector replays cells with one attached.
+func chaosRun(p Params, cell chaosCell, rec *snapshot.Recorder) ChaosRow {
 	prof, seed := cell.prof, cell.seed
 	cfg := android.DefaultSystemConfig(cell.policy, p.Scale)
 	if cell.backend == vmem.BackendZram {
@@ -129,9 +127,7 @@ func chaosRun(p Params, cell chaosCell, digestEvery time.Duration) (ChaosRow, []
 	population, _ := pressurePopulation(pp, nil)
 
 	sys := android.NewSystem(cfg)
-	var rec *snapshot.Recorder
-	if digestEvery > 0 {
-		rec = snapshot.NewRecorder(digestEvery)
+	if rec != nil {
 		rec.Attach(sys)
 	}
 	runHotLaunchesWithSystem(pp, sys, population, nil)
@@ -179,44 +175,27 @@ func chaosRun(p Params, cell chaosCell, digestEvery time.Duration) (ChaosRow, []
 	if hotN > 0 {
 		row.HotMeanMS = hot / hotN
 	}
-	var digests []snapshot.SystemDigest
-	if rec != nil {
-		digests = rec.Digests
-	}
-	return row, digests
+	return row
 }
 
 // ChaosOpts configures a supervised chaos campaign.
 type ChaosOpts struct {
 	// Seeds is the seed count per fault profile (minimum 1).
 	Seeds int
-	// Deadline bounds each cell's wall-clock time (0 = unbounded); a cell
-	// that exceeds it is abandoned and reported, not waited on.
-	Deadline time.Duration
-	// Retries is the per-cell transient-failure retry budget.
-	Retries int
-	// Store, when non-nil, checkpoints each completed cell so an
-	// interrupted campaign resumes instead of recomputing.
-	Store *snapshot.Store
-	// Interrupted, when non-nil, is polled before each cell; once it
-	// returns true remaining cells are skipped (the SIGINT path).
-	Interrupted func() bool
-	// DigestEvery is the snapshot sampling period used when a divergent
-	// cell is replayed for bisection (0 = 500 ms).
-	DigestEvery time.Duration
+	// Campaign supervises the cells: a cell past its Deadline is
+	// abandoned and reported, not waited on; a Journal checkpoints each
+	// completed cell so an interrupted campaign resumes instead of
+	// recomputing; once Interrupted reports true the cells not yet
+	// started are skipped (the SIGINT path).
+	Campaign runner.Campaign
 }
 
 // ChaosReport is the outcome of a supervised chaos campaign: the completed
-// rows (including rows for failed legs, with Err set), the supervision
-// errors, and the resume/interrupt accounting.
+// rows (including rows for failed legs, with Err set) and the campaign's
+// resume, interrupt and failure accounting.
 type ChaosReport struct {
 	Rows []ChaosRow
-	// Errors lists legs that panicked, timed out or otherwise failed.
-	Errors []*runner.LegError
-	// Skipped counts cells not run because the campaign was interrupted.
-	Skipped int
-	// Resumed counts cells answered from the checkpoint store.
-	Resumed int
+	runner.Tally
 }
 
 // Passed reports whether every executed cell was deterministic and
@@ -235,10 +214,6 @@ func ChaosCampaignKey(p Params) string {
 		p.Scale, p.Rounds, p.UseTime, p.PressureApps, p.Seed)
 }
 
-// errSkipped marks cells not run due to interruption; it is non-retryable
-// by construction (the supervisor's Retryable filter rejects it).
-var errSkipped = errors.New("chaos: cell skipped (campaign interrupted)")
-
 type chaosCell struct {
 	prof    faults.Profile
 	backend vmem.BackendKind
@@ -252,11 +227,12 @@ func (c chaosCell) checkpointKey() string {
 }
 
 // ChaosSupervised runs the fault-profile suite under full supervision:
-// cells fan out on the worker pool with panic isolation and per-cell
-// deadlines, every executed cell runs twice and is compared bit for bit,
-// divergent cells are replayed with per-tick state digests and bisected to
-// the first divergent tick and subsystem, and completed cells checkpoint
-// to opts.Store so an interrupted campaign is resumable.
+// cells fan out on the worker pool through runner.Cells with panic
+// isolation and per-cell deadlines, every executed cell runs twice and is
+// compared bit for bit, divergent cells are replayed with per-tick state
+// digests and bisected to the first divergent tick and subsystem, and
+// completed cells checkpoint to the campaign's journal so an interrupted
+// campaign is resumable.
 func ChaosSupervised(p Params, opts ChaosOpts) ChaosReport {
 	if opts.Seeds < 1 {
 		opts.Seeds = 1
@@ -282,76 +258,51 @@ func ChaosSupervised(p Params, opts ChaosOpts) ChaosReport {
 		}
 	}
 
-	var resumed atomic.Int64
-	pol := runner.Policy{
-		Deadline: opts.Deadline,
-		Retries:  opts.Retries,
-		Retryable: func(err error) bool {
-			return !errors.Is(err, errSkipped) && !errors.Is(err, snapshot.ErrJournalFailed)
-		},
+	keys := make([]string, len(cells))
+	for i, c := range cells {
+		keys[i] = c.checkpointKey()
 	}
-	rows, legErrs := runner.SupervisedMap(cells, pol, func(_ int, c chaosCell) (ChaosRow, error) {
-		// A journaled cell costs nothing to answer, so it is answered even
-		// after an interrupt, as population.Run does.
-		cellKey := c.checkpointKey()
-		if opts.Store != nil {
-			var cached ChaosRow
-			if opts.Store.Get(cellKey, &cached) {
-				resumed.Add(1)
-				return cached, nil
-			}
-		}
-		if opts.Interrupted != nil && opts.Interrupted() {
-			return ChaosRow{}, errSkipped
-		}
-		row, _ := chaosRun(p, c, 0)
-		replay, _ := chaosRun(p, c, 0)
-		row.Deterministic = row.key() == replay.key()
-		if !row.Deterministic {
-			// Same-seed divergence: rerun both cells with the per-tick
-			// digest recorder and bisect to the first divergent tick.
-			_, da := chaosRun(p, c, opts.DigestEvery)
-			_, db := chaosRun(p, c, opts.DigestEvery)
-			if d := snapshot.Bisect(da, db); d != nil {
-				row.Divergence = &DivergenceInfo{
-					Tick:      d.Tick,
-					AtMS:      float64(d.At) / float64(time.Millisecond),
-					Subsystem: d.Subsystem,
-					Report:    d.Report(),
-				}
-			}
-		}
-		if opts.Store != nil {
-			if err := opts.Store.Put(cellKey, row); err != nil {
-				return ChaosRow{}, fmt.Errorf("checkpoint cell %s: %w", cellKey, err)
-			}
-		}
-		return row, nil
+	rows, done, tally := runner.Cells(opts.Campaign, keys, func(i int) ChaosRow {
+		return chaosCellRow(p, cells[i], cells[i])
 	})
-
-	rep := ChaosReport{Resumed: int(resumed.Load())}
-	failed := make(map[int]*runner.LegError)
-	skipped := make(map[int]bool)
-	for _, le := range legErrs {
-		if errors.Is(le.Err, errSkipped) {
-			rep.Skipped++
-			skipped[le.Index] = true
-			continue
-		}
-		failed[le.Index] = le
-		rep.Errors = append(rep.Errors, le)
+	// A failed cell still gets a row, carrying its error; a skipped one
+	// gets none.
+	for _, le := range tally.Errors {
+		c := cells[le.Index]
+		rows[le.Index] = ChaosRow{Profile: c.prof.Name, Seed: c.seed,
+			Backend: c.backend.String(), Policy: c.policy.String(), Err: le.Error()}
+		done[le.Index] = true
 	}
+	rep := ChaosReport{Tally: tally}
 	for i, row := range rows {
-		if skipped[i] {
-			continue
+		if done[i] {
+			rep.Rows = append(rep.Rows, row)
 		}
-		if le, bad := failed[i]; bad {
-			row = ChaosRow{Profile: cells[i].prof.Name, Seed: cells[i].seed,
-				Backend: cells[i].backend.String(), Policy: cells[i].policy.String(), Err: le.Error()}
-		}
-		rep.Rows = append(rep.Rows, row)
 	}
 	return rep
+}
+
+// chaosCellRow runs a cell and a replay of it and compares the two bit for
+// bit. When they differ, it reruns both with per-tick digest recorders and
+// bisects to the first divergent tick and subsystem. The replay is its
+// own argument so a test can force it apart from the cell.
+func chaosCellRow(p Params, cell, replay chaosCell) ChaosRow {
+	row := chaosRun(p, cell, nil)
+	row.Deterministic = row.key() == chaosRun(p, replay, nil).key()
+	if !row.Deterministic {
+		var a, b snapshot.Recorder
+		chaosRun(p, cell, &a)
+		chaosRun(p, replay, &b)
+		if d := snapshot.Bisect(a.Digests, b.Digests); d != nil {
+			row.Divergence = &DivergenceInfo{
+				Tick:      d.Tick,
+				AtMS:      float64(d.At) / float64(time.Millisecond),
+				Subsystem: d.Subsystem,
+				Report:    d.Report(),
+			}
+		}
+	}
+	return row
 }
 
 // Chaos runs the standard fault-profile suite over the given number of

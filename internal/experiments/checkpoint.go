@@ -1,9 +1,10 @@
-// Sweep-leg checkpointing: the big figure sweeps (Fig. 13/16) run one
-// expensive simulation per policy; each leg's serializable summary is
-// recorded in the session's checkpoint store so an interrupted sweep
-// resumes with only the missing legs. Every leg is reduced through the
-// same legSummary path whether it ran fresh or came from the store, so
-// resumed results are bit-identical to uninterrupted ones.
+// The campaign the registered experiments run under, and sweep-leg
+// checkpointing: the big figure sweeps (Fig. 13/16) run one expensive
+// simulation per policy; each leg's serializable summary is recorded in
+// the campaign's journal so an interrupted sweep resumes with only the
+// missing legs. Every leg is reduced through the same legSummary path
+// whether it ran fresh or came from the journal, so resumed results are
+// bit-identical to uninterrupted ones.
 
 package experiments
 
@@ -14,30 +15,33 @@ import (
 
 	"fleetsim/internal/android"
 	"fleetsim/internal/metrics"
-	"fleetsim/internal/snapshot"
+	"fleetsim/internal/runner"
 	"fleetsim/internal/vmem"
 )
 
 var (
-	ckptMu    sync.Mutex
-	ckptStore *snapshot.Store
+	campaignMu sync.Mutex
+	campaign   runner.Campaign
 )
 
-// SetCheckpointStore installs (or, with nil, removes) the process-wide
-// checkpoint store the figure sweeps record their legs in. cmd/fleetsim
-// wires this to -checkpoint-dir.
-func SetCheckpointStore(st *snapshot.Store) {
-	ckptMu.Lock()
-	ckptStore = st
-	ckptMu.Unlock()
+// SetCampaign installs the process-wide campaign the registered
+// experiments run under: the population campaign runs its shards under
+// all of it, and the figure sweeps record their policy legs in its
+// Journal. Registered runners stay pure — the journal and the interrupt
+// only skip or resume work, they cannot change a completed cell's result.
+// cmd/fleetsim wires it to -checkpoint-dir, -timeout and its SIGINT
+// latch; the zero Campaign (the default) journals nothing and never
+// interrupts.
+func SetCampaign(c runner.Campaign) {
+	campaignMu.Lock()
+	campaign = c
+	campaignMu.Unlock()
 }
 
-// CheckpointStore returns the installed store (nil when checkpointing is
-// off).
-func CheckpointStore() *snapshot.Store {
-	ckptMu.Lock()
-	defer ckptMu.Unlock()
-	return ckptStore
+func currentCampaign() runner.Campaign {
+	campaignMu.Lock()
+	defer campaignMu.Unlock()
+	return campaign
 }
 
 // SweepCampaignKey canonically encodes the Params that determine every
@@ -74,24 +78,28 @@ func summarizeLeg(run *hotRun) *legSummary {
 	}
 }
 
-// checkpointedLeg answers a sweep leg from the checkpoint store when
+// checkpointedLeg answers a sweep leg from the campaign's journal when
 // possible, otherwise runs it and records the summary. The cell key folds
 // the measured-app set and the policy; the campaign key (checked at store
-// open) covers the Params.
+// open) covers the Params. Legs neither poll the interrupt nor fail on a
+// refused record, so an interrupted or journal-failing sweep still prints
+// its whole table.
 func checkpointedLeg(pol android.PolicyKind, measuredNames []string,
 	run func() *hotRun) *legSummary {
 
-	st := CheckpointStore()
+	j := currentCampaign().Journal
 	cell := fmt.Sprintf("fig13/%s/%s", strings.Join(measuredNames, ","), pol)
-	if st != nil {
+	if j != nil {
 		cached := &legSummary{}
-		if st.Get(cell, cached) {
+		if j.Get(cell, cached) {
 			return cached
 		}
 	}
 	ls := summarizeLeg(run())
-	if st != nil {
-		st.Put(cell, ls)
+	if j != nil {
+		// A refused append latches the store; cmd/fleetsim reports it
+		// through Failed once the output is complete.
+		_ = j.Put(cell, ls)
 	}
 	return ls
 }

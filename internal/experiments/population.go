@@ -1,43 +1,18 @@
 // The population experiment: the device-fleet campaign of
 // internal/population surfaced through the shared registry, so every
 // frontend (fleetsim, fleetd jobs, fleetload) can run fleet studies with
-// nothing but Params. The campaign checkpoints into the same sweep store
-// as the figure sweeps — cell keys fold the campaign spec's digest, so
-// the journal never mixes fleets — and polls the frontend-installed
-// interrupt hook at shard boundaries.
+// nothing but Params. The campaign runs under the installed SetCampaign:
+// it checkpoints into the same journal as the figure sweeps — cell keys
+// fold the campaign spec's digest, so the journal never mixes fleets —
+// and polls the interrupt at shard boundaries.
 
 package experiments
 
 import (
 	"fmt"
-	"sync/atomic"
-	"time"
 
 	"fleetsim/internal/population"
 )
-
-// populationInterrupt holds the frontend-installed graceful-stop hook
-// (type func() bool). Registered runners stay pure — the hook only makes
-// an in-flight campaign stop early and report itself INCOMPLETE, it
-// cannot change any completed shard's aggregate.
-var populationInterrupt atomic.Value
-
-// SetPopulationInterrupt installs (or, with nil, removes) the hook the
-// population campaign polls at device-range boundaries. cmd/fleetsim
-// wires this to its SIGINT latch, mirroring the chaos campaign.
-func SetPopulationInterrupt(fn func() bool) {
-	if fn == nil {
-		fn = func() bool { return false }
-	}
-	populationInterrupt.Store(fn)
-}
-
-// PopulationDeadline supervises each campaign shard leg; frontends may
-// override it alongside the interrupt hook (0 = none).
-var populationDeadline atomic.Int64
-
-// SetPopulationDeadline sets the per-shard supervision deadline.
-func SetPopulationDeadline(d time.Duration) { populationDeadline.Store(int64(d)) }
 
 // PopulationSpec maps Params onto a campaign spec: zero-valued fields
 // keep the calibrated campaign defaults.
@@ -68,25 +43,17 @@ func PopulationSpec(p Params) (population.Spec, error) {
 }
 
 // RunPopulation executes the fleet campaign for the registry: Params in,
-// rendered report out. Shards checkpoint into the process-wide sweep
-// store when one is installed, and an installed interrupt hook stops the
-// campaign at the next device-range boundary (the report then carries the
-// INCOMPLETE marker and a -resume rerun completes the rest). Parameter
-// errors render as the report body so the registry contract (always a
-// string) holds.
+// rendered report out. Shards run under the installed campaign: they
+// checkpoint into its journal, and its interrupt stops the campaign at
+// the next device-range boundary (the report then carries the INCOMPLETE
+// marker and a -resume rerun completes the rest). Parameter errors render
+// as the report body so the registry contract (always a string) holds.
 func RunPopulation(p Params) string {
 	spec, err := PopulationSpec(p)
 	if err != nil {
 		return fmt.Sprintf("population: %v\n", err)
 	}
-	opts := population.Opts{
-		Store:    CheckpointStore(),
-		Deadline: time.Duration(populationDeadline.Load()),
-	}
-	if fn, ok := populationInterrupt.Load().(func() bool); ok {
-		opts.Interrupted = fn
-	}
-	res, err := population.Run(spec, opts)
+	res, err := population.Run(spec, currentCampaign())
 	if err != nil {
 		return fmt.Sprintf("population: %v\n", err)
 	}

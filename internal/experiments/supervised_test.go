@@ -4,13 +4,17 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"fleetsim/internal/android"
+	"fleetsim/internal/faults"
 	"fleetsim/internal/fsio"
+	"fleetsim/internal/runner"
 	"fleetsim/internal/snapshot"
+	"fleetsim/internal/vmem"
 )
 
 func chaosTestParams() Params {
@@ -41,11 +45,10 @@ func TestChaosResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	var polls atomic.Int32
-	partial := ChaosSupervised(p, ChaosOpts{
-		Seeds:       1,
-		Store:       st,
+	partial := ChaosSupervised(p, ChaosOpts{Seeds: 1, Campaign: runner.Campaign{
+		Journal:     st,
 		Interrupted: func() bool { return polls.Add(1) > 1 },
-	})
+	}})
 	st.Close()
 	if partial.Skipped == 0 {
 		t.Fatal("interrupt skipped nothing; cannot exercise resume")
@@ -62,7 +65,7 @@ func TestChaosResume(t *testing.T) {
 	if st2.Resumed() == 0 {
 		t.Fatal("journal replay found no checkpointed cells")
 	}
-	got := ChaosSupervised(p, ChaosOpts{Seeds: 1, Store: st2})
+	got := ChaosSupervised(p, ChaosOpts{Seeds: 1, Campaign: runner.Campaign{Journal: st2}})
 	st2.Close()
 	if got.Resumed != st2.Resumed() {
 		t.Errorf("Resumed = %d, want %d (every checkpointed cell answered from the store)",
@@ -83,7 +86,7 @@ func TestChaosResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st3.Close()
-	again := ChaosSupervised(p, ChaosOpts{Seeds: 1, Store: st3, Interrupted: func() bool { return true }})
+	again := ChaosSupervised(p, ChaosOpts{Seeds: 1, Campaign: runner.Campaign{Journal: st3, Interrupted: func() bool { return true }}})
 	if again.Resumed != len(want.Rows) || again.Skipped != 0 {
 		t.Errorf("interrupted rerun of a full journal: resumed %d, skipped %d; want %d and 0",
 			again.Resumed, again.Skipped, len(want.Rows))
@@ -118,7 +121,7 @@ func TestChaosRefusedCheckpointFailsCell(t *testing.T) {
 	st := open(fsio.NewFaulty(fsio.OS{}, fsio.FaultConfig{FailSyncAfter: startupSyncs}), "chaos.jsonl")
 	defer st.Close()
 
-	rep := ChaosSupervised(p, ChaosOpts{Seeds: 1, Store: st})
+	rep := ChaosSupervised(p, ChaosOpts{Seeds: 1, Campaign: runner.Campaign{Journal: st}})
 	if rep.Passed() {
 		t.Fatalf("campaign passed with a refused journal:\n%s", FormatChaosReport(rep))
 	}
@@ -140,7 +143,7 @@ func TestChaosRefusedCheckpointFailsCell(t *testing.T) {
 // full report with per-cell error rows instead of aborting.
 func TestChaosDeadlineDoesNotAbortCampaign(t *testing.T) {
 	p := chaosTestParams()
-	rep := ChaosSupervised(p, ChaosOpts{Seeds: 1, Deadline: time.Nanosecond})
+	rep := ChaosSupervised(p, ChaosOpts{Seeds: 1, Campaign: runner.Campaign{Policy: runner.Policy{Deadline: time.Nanosecond}}})
 	if len(rep.Errors) == 0 {
 		t.Fatal("1ns deadline produced no leg errors")
 	}
@@ -165,6 +168,34 @@ func TestChaosDeadlineDoesNotAbortCampaign(t *testing.T) {
 	}
 }
 
+// TestChaosDivergenceBisected forces one cell's replay apart from it (onto
+// the next seed) and requires the row to read DIVERGED with a bisection
+// naming the first divergent tick and subsystem. One cell at a coarse
+// scale keeps it cheap: each bisection replay digests full state every
+// 500 ms of virtual time.
+func TestChaosDivergenceBisected(t *testing.T) {
+	p := chaosTestParams()
+	p.Scale = 256
+	cell := chaosCell{prof: faults.Profiles(p.Scale)[0], backend: vmem.BackendFlash,
+		policy: android.PolicyFleet, seed: p.Seed}
+	replay := cell
+	replay.seed++
+	row := chaosCellRow(p, cell, replay)
+	if row.Deterministic {
+		t.Fatal("replay on another seed compared equal to the cell")
+	}
+	d := row.Divergence
+	if d == nil {
+		t.Fatal("divergent cell was not bisected")
+	}
+	if d.Tick < 1 || d.Subsystem == "" || d.Report == "" {
+		t.Errorf("bisection = %+v, want a tick, a subsystem and a report", d)
+	}
+	if out := FormatChaos([]ChaosRow{row}); !strings.Contains(out, "~ bisected: first divergent tick") {
+		t.Errorf("table has no bisection line:\n%s", out)
+	}
+}
+
 // TestCheckpointedLegSkipsRerun proves a sweep leg recorded in the store is
 // answered without re-running the simulation, and that the summary survives
 // the JSON round trip intact.
@@ -177,8 +208,8 @@ func TestCheckpointedLegSkipsRerun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetCheckpointStore(st)
-	defer SetCheckpointStore(nil)
+	SetCampaign(runner.Campaign{Journal: st})
+	defer SetCampaign(runner.Campaign{})
 
 	measured := []string{Fig13Apps[0]}
 	pop, meas := pressurePopulation(p, measured)
@@ -201,7 +232,7 @@ func TestCheckpointedLegSkipsRerun(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	SetCheckpointStore(st2)
+	SetCampaign(runner.Campaign{Journal: st2})
 	second := leg()
 	if runs.Load() != 1 {
 		t.Fatalf("checkpointed leg re-ran the simulation (%d runs)", runs.Load())
@@ -233,8 +264,8 @@ func TestCheckpointedLegKeyedByBackend(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		SetCheckpointStore(st)
-		defer SetCheckpointStore(nil)
+		SetCampaign(runner.Campaign{Journal: st})
+		defer SetCampaign(runner.Campaign{})
 		checkpointedLeg(android.PolicyFleet, measured, func() *hotRun {
 			runs++
 			return &hotRun{Policy: android.PolicyFleet, Sys: &android.System{M: &android.Metrics{}}}

@@ -197,21 +197,6 @@ func (s Spec) SimulateDevice(i int, catalog []apps.Profile, agg *Agg) {
 	}
 }
 
-// Opts configures a campaign run.
-type Opts struct {
-	// Store, when non-nil, checkpoints each completed shard's aggregate
-	// (the journal commits exactly at device-range boundaries) and
-	// answers already-completed shards on resume. Cell keys fold the
-	// spec digest, so a shared store never mixes campaigns.
-	Store *snapshot.Store
-	// Interrupted, polled at shard boundaries, stops the campaign
-	// gracefully: in-flight shards finish and checkpoint, the rest are
-	// skipped and counted in Result.SkippedShards.
-	Interrupted func() bool
-	// Deadline bounds each shard leg (see runner.Policy).
-	Deadline time.Duration
-}
-
 // Result is a finished (or interrupted) campaign.
 type Result struct {
 	Spec Spec
@@ -241,20 +226,18 @@ func (r *Result) Complete() bool {
 // Digest is the campaign digest (of the merged aggregate).
 func (r *Result) Digest() string { return r.Agg.Digest() }
 
-// shardOut is what one shard leg returns: its aggregate, or markers for
-// resumed / skipped.
-type shardOut struct {
-	Agg     *Agg
-	Resumed bool
-	Skipped bool
-}
-
 // Run executes the campaign: shards fan out on the process worker pool
-// under supervision, each shard simulates its device range and reduces it
-// to one aggregate, and the coordinator merges shard aggregates in shard
-// order. The result is bitwise identical at every parallelism level and
-// across checkpoint/resume.
-func Run(spec Spec, opts Opts) (*Result, error) {
+// as cells of c (runner.Cells), each shard simulates its device range and
+// reduces it to one aggregate, and the coordinator merges shard
+// aggregates in shard order. With a journal, each completed shard's
+// aggregate is recorded (the journal commits exactly at device-range
+// boundaries) and already-completed shards are answered on resume; cell
+// keys fold the spec digest, so a shared journal never mixes campaigns.
+// The interrupt is polled at shard boundaries: in-flight shards finish
+// and checkpoint, the rest are counted in SkippedShards. The result is
+// bitwise identical at every parallelism level and across
+// checkpoint/resume.
+func Run(spec Spec, c runner.Campaign) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -267,51 +250,32 @@ func Run(spec Spec, opts Opts) (*Result, error) {
 
 	type shard struct{ lo, hi int }
 	var shards []shard
+	var keys []string
 	for lo := 0; lo < spec.Devices; lo += spec.ShardSize {
 		hi := lo + spec.ShardSize
 		if hi > spec.Devices {
 			hi = spec.Devices
 		}
 		shards = append(shards, shard{lo, hi})
+		keys = append(keys, fmt.Sprintf("population/%s/%06d-%06d", specDigest, lo, hi))
 	}
 
-	pol := runner.Policy{Deadline: opts.Deadline}
-	outs, legErrs := runner.SupervisedMap(shards, pol, func(_ int, sh shard) (shardOut, error) {
-		cell := fmt.Sprintf("population/%s/%06d-%06d", specDigest, sh.lo, sh.hi)
-		if opts.Store != nil {
-			cached := NewAgg()
-			if opts.Store.Get(cell, cached) {
-				return shardOut{Agg: cached, Resumed: true}, nil
-			}
-		}
-		if opts.Interrupted != nil && opts.Interrupted() {
-			return shardOut{Skipped: true}, nil
-		}
+	aggs, done, tally := runner.Cells(c, keys, func(i int) *Agg {
 		agg := NewAgg()
-		for i := sh.lo; i < sh.hi; i++ {
-			spec.SimulateDevice(i, catalog, agg)
+		for d := shards[i].lo; d < shards[i].hi; d++ {
+			spec.SimulateDevice(d, catalog, agg)
 		}
-		if opts.Store != nil {
-			if err := opts.Store.Put(cell, agg); err != nil {
-				return shardOut{}, fmt.Errorf("checkpoint shard %d-%d: %w", sh.lo, sh.hi, err)
-			}
-		}
-		return shardOut{Agg: agg}, nil
+		return agg
 	})
 
-	res := &Result{Spec: spec, Agg: NewAgg(), Shards: len(shards)}
-	for _, o := range outs {
-		switch {
-		case o.Skipped:
-			res.SkippedShards++
-		case o.Agg != nil:
-			if o.Resumed {
-				res.ResumedShards++
-			}
-			res.Merges += res.Agg.Merge(o.Agg)
+	res := &Result{Spec: spec, Agg: NewAgg(), Shards: len(shards),
+		ResumedShards: tally.Resumed, SkippedShards: tally.Skipped}
+	for i, agg := range aggs {
+		if done[i] {
+			res.Merges += res.Agg.Merge(agg)
 		}
 	}
-	for _, le := range legErrs {
+	for _, le := range tally.Errors {
 		res.Errors = append(res.Errors, le.Error())
 	}
 	for _, k := range sortedKeys(res.Agg.Cells) {

@@ -42,7 +42,7 @@ func TestCampaignDeterminism(t *testing.T) {
 			spec := detSpec(seed, pols)
 
 			runner.SetParallelism(1)
-			serial, err := Run(spec, Opts{})
+			serial, err := Run(spec, runner.Campaign{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,7 +51,7 @@ func TestCampaignDeterminism(t *testing.T) {
 			}
 
 			runner.SetParallelism(4)
-			parallel, err := Run(spec, Opts{})
+			parallel, err := Run(spec, runner.Campaign{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,8 +68,8 @@ func TestCampaignDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			var polls atomic.Int32
-			interrupted, err := Run(spec, Opts{
-				Store:       store,
+			interrupted, err := Run(spec, runner.Campaign{
+				Journal:     store,
 				Interrupted: func() bool { return polls.Add(1) > 1 },
 			})
 			if err != nil {
@@ -84,7 +84,7 @@ func TestCampaignDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resumed, err := Run(spec, Opts{Store: store})
+			resumed, err := Run(spec, runner.Campaign{Journal: store})
 			if err != nil {
 				t.Fatal(err)
 			}

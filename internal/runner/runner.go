@@ -97,12 +97,3 @@ func MapN[R any](n int, fn func(int) R) []R {
 	}
 	return Map(idx, func(_ int, i int) R { return fn(i) })
 }
-
-// Go runs each task on the pool (bounded by Parallelism()) and waits for
-// all of them. With parallelism 1 the tasks run inline in order.
-func Go(tasks ...func()) {
-	MapN(len(tasks), func(i int) struct{} {
-		tasks[i]()
-		return struct{}{}
-	})
-}

@@ -101,13 +101,3 @@ func TestNestedMapDoesNotDeadlock(t *testing.T) {
 		}
 	}
 }
-
-func TestGoRunsAll(t *testing.T) {
-	SetParallelism(4)
-	defer SetParallelism(0)
-	var n atomic.Int64
-	Go(func() { n.Add(1) }, func() { n.Add(10) }, func() { n.Add(100) })
-	if n.Load() != 111 {
-		t.Fatalf("Go ran tasks -> %d, want 111", n.Load())
-	}
-}

@@ -1,11 +1,11 @@
-// Supervised execution: the fault-tolerant variants of Map. Plain Map
+// Supervised execution: the fault-tolerant variant of Map. Plain Map
 // assumes legs are pure and well-behaved; a single panicking leg kills the
-// whole process and a wedged leg hangs the sweep forever. TryMap and
-// SupervisedMap recover per-leg panics into typed LegErrors (stack + item
-// index attached), enforce an optional per-leg wall-clock deadline via a
-// watchdog goroutine, and retry transiently-failed legs a bounded number of
-// times — so a campaign returns partial results plus an error report
-// instead of dying.
+// whole process and a wedged leg hangs the sweep forever. SupervisedMap
+// recovers per-leg panics into typed LegErrors (stack + item index
+// attached) and enforces an optional per-leg wall-clock deadline via a
+// watchdog goroutine, so a campaign returns partial results plus an error
+// report instead of dying. Cells adds the campaign's checkpoint journal
+// and graceful interrupt on top.
 package runner
 
 import (
@@ -29,10 +29,6 @@ var ErrLegTimeout = errors.New("runner: leg exceeded its deadline")
 type LegError struct {
 	// Index is the item index within the input slice.
 	Index int
-	// Attempts is how many times the leg ran before the supervisor gave
-	// up (1 = failed on the first try with no retry budget or a
-	// non-retryable failure).
-	Attempts int
 	// Err is the underlying failure: the leg's returned error, or a
 	// wrapped ErrLegPanic / ErrLegTimeout.
 	Err error
@@ -45,66 +41,35 @@ type LegError struct {
 }
 
 // Error renders the failure with its item index.
-func (e *LegError) Error() string {
-	switch {
-	case e.TimedOut:
-		return fmt.Sprintf("leg %d: %v (after %d attempt(s))", e.Index, e.Err, e.Attempts)
-	case e.Panicked:
-		return fmt.Sprintf("leg %d: %v (after %d attempt(s))", e.Index, e.Err, e.Attempts)
-	default:
-		return fmt.Sprintf("leg %d failed after %d attempt(s): %v", e.Index, e.Attempts, e.Err)
-	}
-}
+func (e *LegError) Error() string { return fmt.Sprintf("leg %d: %v", e.Index, e.Err) }
 
 // Unwrap exposes the underlying error to errors.Is / errors.As.
 func (e *LegError) Unwrap() error { return e.Err }
 
 // Policy configures supervision.
 type Policy struct {
-	// Deadline is the per-attempt wall-clock budget. 0 disables the
-	// watchdog (legs run inline and may block forever).
+	// Deadline is the per-leg wall-clock budget. 0 disables the watchdog
+	// (legs run inline and may block forever).
 	Deadline time.Duration
-	// Retries is how many additional attempts a transiently-failed leg
-	// gets after its first failure. Panics and timeouts never retry: a
-	// panic is a bug and a wedged leg would just wedge again.
-	Retries int
-	// Retryable, when non-nil, filters which returned errors consume the
-	// retry budget; nil retries every returned error.
-	Retryable func(error) bool
-}
-
-// TryMap is Map for fallible legs: fn may return an error or panic, and
-// neither takes down the sweep. Results come back in input order with the
-// zero value in failed slots; the second return lists the failures in
-// index order (nil when every leg succeeded).
-func TryMap[T, R any](items []T, fn func(int, T) (R, error)) ([]R, []*LegError) {
-	return SupervisedMap(items, Policy{}, fn)
 }
 
 // SupervisedMap runs fn over items on the worker pool under a supervision
 // policy: panics are recovered into LegErrors carrying the item index and
-// stack, each attempt is bounded by pol.Deadline, and failed attempts
-// retry per pol. Results are in input order (zero value where the leg
-// ultimately failed); LegErrors are in index order.
+// stack, and each leg is bounded by pol.Deadline. A failed leg is never
+// rerun: a panic is a bug and a wedged leg would just wedge again.
+// Results are in input order (zero value where the leg failed);
+// LegErrors are in index order.
 func SupervisedMap[T, R any](items []T, pol Policy, fn func(int, T) (R, error)) ([]R, []*LegError) {
 	type slot struct {
 		r  R
 		le *LegError
 	}
 	slots := Map(items, func(i int, it T) slot {
-		for attempt := 1; ; attempt++ {
-			r, err, panicked, stack, timedOut := runAttempt(pol.Deadline, i, it, fn)
-			if err == nil {
-				return slot{r: r}
-			}
-			le := &LegError{Index: i, Attempts: attempt, Err: err,
-				Stack: stack, Panicked: panicked, TimedOut: timedOut}
-			if panicked || timedOut ||
-				attempt > pol.Retries ||
-				(pol.Retryable != nil && !pol.Retryable(err)) {
-				return slot{le: le}
-			}
+		r, le := runLeg(pol.Deadline, i, it, fn)
+		if le != nil {
+			return slot{le: le}
 		}
+		return slot{r: r}
 	})
 	out := make([]R, len(items))
 	var errs []*LegError
@@ -117,49 +82,116 @@ func SupervisedMap[T, R any](items []T, pol Policy, fn func(int, T) (R, error)) 
 	return out, errs
 }
 
-// runAttempt executes one attempt of a leg, recovering panics and — when a
-// deadline is set — racing the leg against a watchdog timer. With no
-// deadline the leg runs inline on the caller's goroutine, preserving the
-// serial execution profile of Map at parallelism 1.
-func runAttempt[T, R any](deadline time.Duration, i int, it T,
-	fn func(int, T) (R, error)) (r R, err error, panicked bool, stack string, timedOut bool) {
-
-	attempt := func() (r R, err error, panicked bool, stack string) {
+// runLeg executes one leg, recovering panics and — when a deadline is
+// set — racing the leg against a watchdog timer. With no deadline the leg
+// runs inline on the caller's goroutine, preserving the serial execution
+// profile of Map at parallelism 1.
+func runLeg[T, R any](deadline time.Duration, i int, it T, fn func(int, T) (R, error)) (R, *LegError) {
+	leg := func() (r R, le *LegError) {
 		defer func() {
 			if p := recover(); p != nil {
-				panicked = true
-				stack = string(debug.Stack())
-				err = fmt.Errorf("%w: %v", ErrLegPanic, p)
+				le = &LegError{Index: i, Err: fmt.Errorf("%w: %v", ErrLegPanic, p),
+					Stack: string(debug.Stack()), Panicked: true}
 			}
 		}()
-		r, err = fn(i, it)
-		return
+		r, err := fn(i, it)
+		if err != nil {
+			le = &LegError{Index: i, Err: err}
+		}
+		return r, le
 	}
 	if deadline <= 0 {
-		r, err, panicked, stack = attempt()
-		return
+		return leg()
 	}
 	type result struct {
-		r        R
-		err      error
-		panicked bool
-		stack    string
+		r  R
+		le *LegError
 	}
-	// Buffered so an abandoned (timed-out) attempt can still deliver and
-	// exit instead of leaking blocked forever.
+	// Buffered so an abandoned (timed-out) leg can still deliver and exit
+	// instead of leaking blocked forever.
 	ch := make(chan result, 1)
 	go func() {
-		r, err, p, st := attempt()
-		ch <- result{r, err, p, st}
+		r, le := leg()
+		ch <- result{r, le}
 	}()
 	watchdog := time.NewTimer(deadline)
 	defer watchdog.Stop()
 	select {
 	case v := <-ch:
-		return v.r, v.err, v.panicked, v.stack, false
+		return v.r, v.le
 	case <-watchdog.C:
-		err = fmt.Errorf("%w: %v elapsed", ErrLegTimeout, deadline)
-		timedOut = true
-		return
+		var zero R
+		return zero, &LegError{Index: i, Err: fmt.Errorf("%w: %v elapsed", ErrLegTimeout, deadline), TimedOut: true}
 	}
+}
+
+// Journal records a campaign's finished cells by key. *snapshot.Store
+// satisfies it.
+type Journal interface {
+	// Get decodes cell's recorded result into out, reporting whether
+	// there was one.
+	Get(cell string, out any) bool
+	// Put records cell's result; an error means it was not recorded.
+	Put(cell string, v any) error
+}
+
+// Campaign is how a long campaign runs its cells: each under the
+// supervision Policy, answered from and recorded in Journal (nil: no
+// checkpointing), and not started once Interrupted (nil: never) reports
+// true. A nil pointer stored in Journal is not a nil Journal: leave the
+// field unset instead.
+type Campaign struct {
+	Policy
+	Journal     Journal
+	Interrupted func() bool
+}
+
+// Tally is a campaign's accounting.
+type Tally struct {
+	// Resumed counts cells answered from the journal; Skipped counts
+	// cells not run because the campaign was interrupted.
+	Resumed, Skipped int
+	// Errors lists the failed cells in index order.
+	Errors []*LegError
+}
+
+// Cells runs one campaign cell per key on the worker pool. A cell the
+// journal holds is answered from it, even after an interrupt; once
+// c.Interrupted reports true the other cells are skipped; the rest run
+// under c.Policy and are recorded under their key, and a cell whose
+// record is refused fails. done[i] reports whether out[i] holds cell i's
+// result, fresh or resumed.
+func Cells[R any](c Campaign, keys []string, run func(i int) R) (out []R, done []bool, t Tally) {
+	type cell struct {
+		r             R
+		done, resumed bool
+	}
+	cells, errs := SupervisedMap(keys, c.Policy, func(i int, key string) (cell, error) {
+		var cached R
+		if c.Journal != nil && c.Journal.Get(key, &cached) {
+			return cell{r: cached, done: true, resumed: true}, nil
+		}
+		if c.Interrupted != nil && c.Interrupted() {
+			return cell{}, nil
+		}
+		r := run(i)
+		if c.Journal != nil {
+			if err := c.Journal.Put(key, r); err != nil {
+				return cell{}, fmt.Errorf("checkpoint cell %s: %w", key, err)
+			}
+		}
+		return cell{r: r, done: true}, nil
+	})
+	out, done = make([]R, len(keys)), make([]bool, len(keys))
+	t = Tally{Skipped: len(keys) - len(errs), Errors: errs}
+	for i, s := range cells {
+		out[i], done[i] = s.r, s.done
+		if s.done {
+			t.Skipped--
+		}
+		if s.resumed {
+			t.Resumed++
+		}
+	}
+	return out, done, t
 }

@@ -2,9 +2,9 @@ package runner
 
 import (
 	"errors"
-	"fmt"
+	"reflect"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 )
@@ -12,9 +12,9 @@ import (
 // A panicking leg must not abort the sweep: every other leg completes, the
 // failed slot holds the zero value, and the LegError carries the item
 // index and a stack trace naming the panic site.
-func TestTryMapPanicIsolation(t *testing.T) {
+func TestSupervisedMapPanicIsolation(t *testing.T) {
 	items := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	out, errs := TryMap(items, func(i, v int) (int, error) {
+	out, errs := SupervisedMap(items, Policy{}, func(i, v int) (int, error) {
 		if v == 3 {
 			panic("boom at three")
 		}
@@ -51,9 +51,6 @@ func TestTryMapPanicIsolation(t *testing.T) {
 	if !strings.Contains(le.Stack, "supervise_test.go") {
 		t.Errorf("LegError.Stack does not name the panic site:\n%s", le.Stack)
 	}
-	if le.Attempts != 1 {
-		t.Errorf("Attempts = %d, want 1 (panics never retry)", le.Attempts)
-	}
 }
 
 // A leg that blocks past its deadline is abandoned; the sweep still
@@ -88,72 +85,13 @@ func TestSupervisedMapDeadline(t *testing.T) {
 	if !errors.Is(le, ErrLegTimeout) {
 		t.Errorf("errors.Is(le, ErrLegTimeout) = false; err = %v", le.Err)
 	}
-	if le.Attempts != 1 {
-		t.Errorf("Attempts = %d, want 1 (timeouts never retry)", le.Attempts)
-	}
 }
 
-// Transient errors consume the retry budget and a leg that eventually
-// succeeds reports no error at all.
-func TestSupervisedMapRetries(t *testing.T) {
-	var calls [3]atomic.Int32
-	out, errs := SupervisedMap([]int{0, 1, 2}, Policy{Retries: 2},
-		func(i, v int) (int, error) {
-			n := calls[i].Add(1)
-			switch v {
-			case 0: // succeeds on attempt 2
-				if n < 2 {
-					return 0, fmt.Errorf("transient %d", n)
-				}
-				return 11, nil
-			case 1: // always fails; exhausts budget
-				return 0, fmt.Errorf("permanent %d", n)
-			default: // immediate success
-				return 33, nil
-			}
-		})
-	if out[0] != 11 || out[2] != 33 {
-		t.Errorf("out = %v, want [11 0 33]", out)
-	}
-	if got := calls[0].Load(); got != 2 {
-		t.Errorf("leg 0 ran %d times, want 2", got)
-	}
-	if got := calls[1].Load(); got != 3 {
-		t.Errorf("leg 1 ran %d times, want 3 (1 + 2 retries)", got)
-	}
-	if len(errs) != 1 {
-		t.Fatalf("got %d LegErrors, want 1: %v", len(errs), errs)
-	}
-	if errs[0].Index != 1 || errs[0].Attempts != 3 {
-		t.Errorf("LegError = %+v, want Index=1 Attempts=3", errs[0])
-	}
-}
-
-// A Retryable filter stops the budget from being spent on permanent
-// failures.
-func TestSupervisedMapRetryableFilter(t *testing.T) {
-	errPermanent := errors.New("permanent")
-	var calls atomic.Int32
-	_, errs := SupervisedMap([]int{0}, Policy{
-		Retries:   5,
-		Retryable: func(err error) bool { return !errors.Is(err, errPermanent) },
-	}, func(i, v int) (int, error) {
-		calls.Add(1)
-		return 0, errPermanent
-	})
-	if got := calls.Load(); got != 1 {
-		t.Errorf("leg ran %d times, want 1 (non-retryable)", got)
-	}
-	if len(errs) != 1 || errs[0].Attempts != 1 {
-		t.Fatalf("errs = %v, want one LegError with Attempts=1", errs)
-	}
-}
-
-// TryMap with no failures returns a nil error slice and exactly Map's
+// A sweep with no failures returns a nil error slice and exactly Map's
 // results.
-func TestTryMapCleanRun(t *testing.T) {
+func TestSupervisedMapCleanRun(t *testing.T) {
 	items := []int{5, 6, 7}
-	out, errs := TryMap(items, func(i, v int) (int, error) { return v * v, nil })
+	out, errs := SupervisedMap(items, Policy{}, func(i, v int) (int, error) { return v * v, nil })
 	if errs != nil {
 		t.Fatalf("errs = %v, want nil", errs)
 	}
@@ -162,5 +100,141 @@ func TestTryMapCleanRun(t *testing.T) {
 		if out[i] != want[i] {
 			t.Errorf("out[%d] = %d, want %d", i, out[i], want[i])
 		}
+	}
+}
+
+// fakeJournal is an in-memory Journal of int results; a non-nil refuse
+// is returned by every Put.
+type fakeJournal struct {
+	mu     sync.Mutex
+	cells  map[string]int
+	refuse error
+}
+
+func (j *fakeJournal) Get(cell string, out any) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	v, ok := j.cells[cell]
+	if ok {
+		*out.(*int) = v
+	}
+	return ok
+}
+
+func (j *fakeJournal) Put(cell string, v any) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.refuse != nil {
+		return j.refuse
+	}
+	j.cells[cell] = v.(int)
+	return nil
+}
+
+// A journaled cell is answered even once the campaign is interrupted; an
+// unjournaled one is skipped after the interrupt, and one that runs is
+// recorded.
+func TestCellsResumeAndInterrupt(t *testing.T) {
+	SetParallelism(1) // cells in key order, so the interrupt lands after "a"
+	defer SetParallelism(0)
+	keys := []string{"a", "b", "c", "d", "e"}
+	j := &fakeJournal{cells: map[string]int{"b": 20, "d": 40}}
+	var ran []int
+	run := func(i int) int {
+		ran = append(ran, i)
+		return i + 1
+	}
+	polls := 0
+	out, done, tally := Cells(Campaign{Journal: j, Interrupted: func() bool {
+		polls++
+		return polls > 1
+	}}, keys, run)
+	if !reflect.DeepEqual(ran, []int{0}) {
+		t.Errorf("ran cells %v, want [0]", ran)
+	}
+	if want := []int{1, 20, 0, 40, 0}; !reflect.DeepEqual(out, want) {
+		t.Errorf("out = %v, want %v", out, want)
+	}
+	if want := []bool{true, true, false, true, false}; !reflect.DeepEqual(done, want) {
+		t.Errorf("done = %v, want %v", done, want)
+	}
+	if tally.Resumed != 2 || tally.Skipped != 2 || tally.Errors != nil {
+		t.Errorf("tally = %+v, want 2 resumed, 2 skipped, no errors", tally)
+	}
+	if j.cells["a"] != 1 {
+		t.Errorf("journal holds a=%d, want the run's result 1", j.cells["a"])
+	}
+
+	// Interrupted before the first cell: the journal answers what it
+	// holds and nothing runs.
+	ran = nil
+	out, done, tally = Cells(Campaign{Journal: j, Interrupted: func() bool { return true }}, keys, run)
+	if ran != nil {
+		t.Errorf("interrupted campaign ran cells %v", ran)
+	}
+	if want := []int{1, 20, 0, 40, 0}; !reflect.DeepEqual(out, want) {
+		t.Errorf("out = %v, want %v", out, want)
+	}
+	if want := []bool{true, true, false, true, false}; !reflect.DeepEqual(done, want) {
+		t.Errorf("done = %v, want %v", done, want)
+	}
+	if tally.Resumed != 3 || tally.Skipped != 2 || tally.Errors != nil {
+		t.Errorf("tally = %+v, want 3 resumed, 2 skipped, no errors", tally)
+	}
+}
+
+// A cell whose record the journal refuses fails: its result is not
+// reported done, and the LegError wraps the refusal and names the cell.
+func TestCellsRefusedRecordFails(t *testing.T) {
+	errRefused := errors.New("disk full")
+	j := &fakeJournal{cells: map[string]int{}, refuse: errRefused}
+	keys := []string{"x", "y"}
+	_, done, tally := Cells(Campaign{Journal: j}, keys, func(i int) int { return i })
+	if done[0] || done[1] {
+		t.Errorf("done = %v, want no cell done", done)
+	}
+	if len(tally.Errors) != 2 || tally.Skipped != 0 || tally.Resumed != 0 {
+		t.Fatalf("tally = %+v, want 2 errors, nothing skipped or resumed", tally)
+	}
+	for i, le := range tally.Errors {
+		if le.Index != i || !errors.Is(le, errRefused) || !strings.Contains(le.Error(), "checkpoint cell "+keys[i]) {
+			t.Errorf("error %d = %v, want leg %d wrapping %v and naming cell %s", i, le, i, errRefused, keys[i])
+		}
+	}
+}
+
+// Cells run under the campaign's Policy: a panic and a deadline overrun
+// each become a LegError, the failed cells are neither done nor recorded,
+// and the clean cell is.
+func TestCellsSupervisesRuns(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	j := &fakeJournal{cells: map[string]int{}}
+	c := Campaign{Policy: Policy{Deadline: 50 * time.Millisecond}, Journal: j}
+	out, done, tally := Cells(c, []string{"panic", "wedge", "ok"}, func(i int) int {
+		switch i {
+		case 0:
+			panic("boom")
+		case 1:
+			<-release
+		}
+		return 7
+	})
+	if want := []bool{false, false, true}; !reflect.DeepEqual(done, want) || out[2] != 7 {
+		t.Errorf("done = %v, out = %v; want %v with out[2] = 7", done, out, want)
+	}
+	if len(tally.Errors) != 2 || tally.Skipped != 0 || tally.Resumed != 0 {
+		t.Fatalf("tally = %+v, want 2 errors, nothing skipped or resumed", tally)
+	}
+	if le := tally.Errors[0]; le.Index != 0 || !le.Panicked {
+		t.Errorf("error 0 = %+v, want leg 0 panicked", le)
+	}
+	if le := tally.Errors[1]; le.Index != 1 || !le.TimedOut {
+		t.Errorf("error 1 = %+v, want leg 1 timed out", le)
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if !reflect.DeepEqual(j.cells, map[string]int{"ok": 7}) {
+		t.Errorf("journal = %v, want only the clean cell", j.cells)
 	}
 }

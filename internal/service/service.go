@@ -1,8 +1,8 @@
 // Package service turns the simulator into simulation-as-a-service: a
 // long-lived daemon core that accepts campaign jobs (experiment names plus
 // parameter overrides) into a bounded FIFO queue, schedules them across a
-// worker pool built on runner.SupervisedMap (panic isolation, per-cell
-// deadlines and bounded retries carry over from the campaign supervisor),
+// worker pool built on runner.SupervisedMap (panic isolation and per-cell
+// deadlines carry over from the campaign supervisor),
 // journals every state transition through an internal/snapshot.Store so a
 // restarted daemon resumes incomplete jobs bitwise-identically, and
 // broadcasts per-job progress events to any number of subscribers.
@@ -270,8 +270,6 @@ type Config struct {
 	// Deadline bounds each cell's wall-clock time via the supervisor
 	// (0 = unbounded).
 	Deadline time.Duration
-	// Retries is the per-cell transient-failure retry budget.
-	Retries int
 	// RetryAfter is the client backoff advertised on queue-full shed
 	// responses (0: 1s). Overload sheds scale it up by the measured
 	// queue delay.
@@ -875,12 +873,11 @@ func (s *Service) expireLocked(j *job) {
 
 // runJob executes (or resumes) one job cell by cell. Each cell runs under
 // the campaign supervisor — a panicking experiment fails the job with its
-// stack attached instead of killing the daemon, a cell exceeding
-// cfg.Deadline is abandoned, and transient errors retry within
-// cfg.Retries. Completed cells journal immediately; between cells the
-// worker honours cancellation and drain.
+// stack attached instead of killing the daemon, and a cell exceeding
+// cfg.Deadline is abandoned. Completed cells journal immediately; between
+// cells the worker honours cancellation and drain.
 func (s *Service) runJob(j *job) {
-	basePol := runner.Policy{Deadline: s.cfg.Deadline, Retries: s.cfg.Retries}
+	basePol := runner.Policy{Deadline: s.cfg.Deadline}
 	for {
 		s.mu.Lock()
 		if j.cancel {

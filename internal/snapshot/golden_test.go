@@ -106,10 +106,11 @@ func TestGoldenOutput(t *testing.T) {
 		// alignment of 64-bit fields reproduce amd64's digests.
 		t.Skip("golden digests are recorded on amd64 and checked on 386")
 	}
-	for _, pol := range android.Policies() {
+	for _, name := range android.PolicyNames() {
+		pol, _ := android.ParsePolicy(name)
 		for _, backend := range []string{"flash", "zram"} {
-			key := pol.Name + "/" + backend
-			sys := goldenSession(pol.Kind, backend)
+			key := name + "/" + backend
+			sys := goldenSession(pol, backend)
 			st := sys.VM.Stats()
 			if st.SwapIns == 0 || st.SwapOuts == 0 {
 				t.Errorf("%s: session swapped %d in / %d out; the pin needs both", key, st.SwapIns, st.SwapOuts)
@@ -118,7 +119,7 @@ func TestGoldenOutput(t *testing.T) {
 			for _, g := range sys.M.GCs {
 				ran[g.Kind] = true
 			}
-			for _, k := range goldenKinds[pol.Name] {
+			for _, k := range goldenKinds[name] {
 				if !ran[k] {
 					t.Errorf("%s: no %s collection ran; the pin needs every kind its policy runs", key, k)
 				}

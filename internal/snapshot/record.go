@@ -9,28 +9,21 @@ import (
 	"fleetsim/internal/simclock"
 )
 
-// Recorder samples SystemDigests at a fixed virtual-time period. It rides
-// the simulation clock as a self-rescheduling event; capturing mutates
+// recordEvery is the virtual-time period at which a Recorder samples.
+const recordEvery = 500 * time.Millisecond
+
+// Recorder samples SystemDigests at a fixed virtual-time period,
+// recordEvery; the zero Recorder is ready to Attach. It rides the
+// simulation clock as a self-rescheduling event; capturing mutates
 // nothing, and because clock tie-breaks are by schedule order (seq), the
 // extra events shift later seq numbers uniformly without reordering the
 // simulation's own same-instant events — an attached recorder observes a
 // run without perturbing it.
 type Recorder struct {
-	// Every is the sampling period in virtual time.
-	Every time.Duration
 	// Digests accumulates the samples in tick order.
 	Digests []SystemDigest
 
 	sys *android.System
-}
-
-// NewRecorder returns a recorder with the given sampling period (0 means
-// the 500 ms default).
-func NewRecorder(every time.Duration) *Recorder {
-	if every <= 0 {
-		every = 500 * time.Millisecond
-	}
-	return &Recorder{Every: every}
 }
 
 // Attach schedules the recorder's first sample on the system's clock. Call
@@ -38,14 +31,14 @@ func NewRecorder(every time.Duration) *Recorder {
 // itself for as long as the simulation runs.
 func (r *Recorder) Attach(sys *android.System) {
 	r.sys = sys
-	sys.Clock.ScheduleAfter(r.Every, "snapshot-digest", r.tick)
+	sys.Clock.ScheduleAfter(recordEvery, "snapshot-digest", r.tick)
 }
 
 func (r *Recorder) tick(c *simclock.Clock) {
 	d := Capture(r.sys)
 	d.Tick = len(r.Digests) + 1
 	r.Digests = append(r.Digests, d)
-	c.ScheduleAfter(r.Every, "snapshot-digest", r.tick)
+	c.ScheduleAfter(recordEvery, "snapshot-digest", r.tick)
 }
 
 // Divergence localizes where two same-seed replays first disagreed.

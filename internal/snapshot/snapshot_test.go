@@ -19,7 +19,7 @@ func driveSystem(t *testing.T, perturb bool) (*android.System, *Recorder) {
 	cfg := android.DefaultSystemConfig(android.PolicyFleet, 64)
 	cfg.Seed = 7
 	sys := android.NewSystem(cfg)
-	rec := NewRecorder(500 * time.Millisecond)
+	rec := &Recorder{}
 	rec.Attach(sys)
 
 	p1 := sys.Launch(apps.SyntheticProfile("alpha", 512, 8<<20))
