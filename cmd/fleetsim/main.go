@@ -394,7 +394,9 @@ func exitAfterDefers(code int) {
 type exitCode int
 
 // writeDivergenceReports writes each divergent cell's full bisection report
-// into -checkpoint-dir as divergence-<profile>-<seed>.txt.
+// into -checkpoint-dir as divergence-<profile>-<backend>-<policy>-<seed>.txt,
+// named by the cell's checkpoint-key parts so that the several cells a
+// profile runs per seed keep one report each.
 func writeDivergenceReports(rep fleet.ChaosReport) {
 	if *ckptDir == "" {
 		return
@@ -403,7 +405,7 @@ func writeDivergenceReports(rep fleet.ChaosReport) {
 		if r.Divergence == nil || r.Divergence.Report == "" {
 			continue
 		}
-		path := filepath.Join(*ckptDir, fmt.Sprintf("divergence-%s-%d.txt", r.Profile, r.Seed))
+		path := filepath.Join(*ckptDir, fmt.Sprintf("divergence-%s-%s-%s-%d.txt", r.Profile, r.Backend, r.Policy, r.Seed))
 		if err := os.WriteFile(path, []byte(r.Divergence.Report), 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "fleetsim: %v\n", err)
 			continue

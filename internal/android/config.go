@@ -29,34 +29,51 @@ type DeviceConfig struct {
 // AppBytes returns memory available to apps.
 func (d DeviceConfig) AppBytes() int64 { return d.DRAMBytes - d.SystemReservedBytes }
 
-// Pixel3 is the paper's platform (§6): 4 GB LPDDR4X, a 2 GB flash swap
-// partition, and roughly 1.4 GB held by the system. scale divides every
+// ScaledDevice builds a device with dram bytes of DRAM, roughly 1.4 GB held
+// by the system, and swap bytes of UFS flash swap. scale divides every
 // size — and the swap bandwidths — so experiments run quickly while staying
 // faithful: capacity ratios are scale-invariant (apps shrink by the same
 // factor, see apps.CommercialProfiles), and because IO throughput shrinks
 // with memory, per-launch fault *milliseconds* match the full-size device.
-func Pixel3(scale int64) DeviceConfig {
+// A zramPool > 0 carves a compressed pool of that many bytes out of DRAM
+// and demotes the flash partition to its backing store, serving
+// incompressible fallthrough and cold-page writeback.
+func ScaledDevice(dram, swap, zramPool, scale int64) DeviceConfig {
 	if scale < 1 {
 		scale = 1
 	}
-	swap := vmem.DefaultSwapConfig()
-	swap.SizeBytes = 2 * units.GiB / scale
-	swap.Profile.ReadBandwidth /= float64(scale)
-	swap.Profile.WriteBandwidth /= float64(scale)
-	return DeviceConfig{
-		DRAMBytes:           4 * units.GiB / scale,
+	fscale := float64(scale)
+	flash := vmem.UFSFlashProfile()
+	flash.ReadBandwidth /= fscale
+	flash.WriteBandwidth /= fscale
+	d := DeviceConfig{
+		DRAMBytes:           dram / scale,
 		SystemReservedBytes: 1400 * units.MiB / scale,
-		Swap:                swap,
+		Swap:                vmem.SwapDeviceConfig{SizeBytes: swap / scale, Profile: flash},
 	}
+	if zramPool > 0 {
+		pool := zramPool / scale
+		prof := vmem.ZramDeviceProfile()
+		prof.ReadBandwidth /= fscale
+		prof.WriteBandwidth /= fscale
+		d.DRAMBytes -= pool
+		d.Swap = vmem.SwapDeviceConfig{
+			SizeBytes: pool + swap/scale,
+			Profile:   prof,
+			Backend:   vmem.BackendZram,
+			Zram:      vmem.ZramConfig{PoolBytes: pool, BackingBytes: swap / scale, BackingProfile: flash},
+		}
+	}
+	return d
 }
+
+// Pixel3 is the paper's platform (§6): 4 GB LPDDR4X and a 2 GB flash swap
+// partition, scaled down by scale.
+func Pixel3(scale int64) DeviceConfig { return ScaledDevice(4*units.GiB, 2*units.GiB, 0, scale) }
 
 // Pixel3NoSwap is the same device with swap disabled (the "w/o swap"
 // baseline of Figs. 3 and 11c).
-func Pixel3NoSwap(scale int64) DeviceConfig {
-	d := Pixel3(scale)
-	d.Swap.SizeBytes = 0
-	return d
-}
+func Pixel3NoSwap(scale int64) DeviceConfig { return ScaledDevice(4*units.GiB, 0, 0, scale) }
 
 // Pixel3Zram is the compressed-swap variant on the real zram backend (the
 // vendor "RAM plus" configuration): the 2 GB flash swap partition is
@@ -67,32 +84,7 @@ func Pixel3NoSwap(scale int64) DeviceConfig {
 // CPU, but usable DRAM shrinks by the pool and total swap capacity is
 // tighter than the flash device — the classic RAM-plus trade.
 func Pixel3Zram(scale int64) DeviceConfig {
-	if scale < 1 {
-		scale = 1
-	}
-	fscale := float64(scale)
-	pool := 512 * units.MiB / scale
-	backingBytes := 256 * units.MiB / scale
-	prof := vmem.ZramDeviceProfile()
-	prof.ReadBandwidth /= fscale
-	prof.WriteBandwidth /= fscale
-	backing := vmem.UFSFlashProfile()
-	backing.ReadBandwidth /= fscale
-	backing.WriteBandwidth /= fscale
-	return DeviceConfig{
-		DRAMBytes:           4*units.GiB/scale - pool,
-		SystemReservedBytes: 1400 * units.MiB / scale,
-		Swap: vmem.SwapDeviceConfig{
-			SizeBytes: pool + backingBytes,
-			Profile:   prof,
-			Backend:   vmem.BackendZram,
-			Zram: vmem.ZramConfig{
-				PoolBytes:      pool,
-				BackingBytes:   backingBytes,
-				BackingProfile: backing,
-			},
-		},
-	}
+	return ScaledDevice(4*units.GiB, 256*units.MiB, 512*units.MiB, scale)
 }
 
 // SystemConfig carries the tunables of the runtime layer that experiments

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"fleetsim/internal/telemetry"
+	"fleetsim/internal/vmem"
 )
 
 // PublishTelemetry exports the run's aggregate simulation metrics —
@@ -62,11 +63,11 @@ func (s *System) PublishTelemetry() {
 
 	// Compressed-backend counters, published only when the device actually
 	// runs one so flash-only fleets keep a clean /metrics page.
-	if s.VM.Swap.Name() != "zram" {
+	if s.Cfg.Device.Swap.Backend != vmem.BackendZram {
 		return
 	}
 	z := s.VM.Swap.BackendStats()
-	backend := s.VM.Swap.Name()
+	backend := s.Cfg.Device.Swap.Backend.String()
 	zc := func(name, help string, v int64) {
 		reg.Counter(name, help, "policy", policy, "backend", backend).Add(v)
 	}

@@ -192,7 +192,7 @@ func (f *Fleet) RunGrouping(now time.Duration) gc.Result {
 	// retries grouping. A device with no swap at all (TotalSlots == 0) does
 	// NOT take this path: BGC's working-set reduction is still worthwhile
 	// without a device to steer.
-	if f.vm.Swap.TotalSlots() > 0 && !f.vm.Swap.Online() {
+	if f.vm.Swap.TotalSlots() > 0 && !f.vm.Online() {
 		f.swapFallbacks++
 		res := gc.Major(h, nil)
 		f.state = StateActive

@@ -44,12 +44,12 @@ func TestFleetFallsBackWhenSwapOffline(t *testing.T) {
 	buildGraph(h, 50)
 
 	offline := false
-	vm.Swap.SetFaults(func() vmem.FaultState {
+	vm.Faults = func() vmem.FaultState {
 		if offline {
 			return vmem.FaultState{OfflineFor: time.Second}
 		}
 		return vmem.FaultState{}
-	})
+	}
 
 	f := core.New(core.DefaultConfig(), h, vm)
 	f.OnBackground()
@@ -150,7 +150,7 @@ func TestInjectorWindowsReachDevice(t *testing.T) {
 	sawOffline := false
 	for i := 0; i < 600; i++ {
 		clock.RunUntil(clock.Now() + 100*time.Millisecond)
-		if !vm.Swap.Online() {
+		if !vm.Online() {
 			sawOffline = true
 			break
 		}
@@ -160,7 +160,7 @@ func TestInjectorWindowsReachDevice(t *testing.T) {
 	}
 	// The window closes by itself once the clock passes it.
 	clock.RunUntil(clock.Now() + 2*time.Second)
-	if !vm.Swap.Online() {
+	if !vm.Online() {
 		t.Error("offline window never closed")
 	}
 }

@@ -38,7 +38,7 @@ type Injector struct {
 	vm    *vmem.Manager
 	rng   *xrand.Rand
 
-	// Window state served to the swap device via its fault hook.
+	// Window state served to the manager via its swap-fault hook.
 	stallUntil    time.Duration
 	stallFactor   float64
 	offlineUntil  time.Duration
@@ -58,11 +58,11 @@ type stormSlot struct {
 	inUse bool
 }
 
-// NewInjector wires an injector into the manager's swap device. Call Start
-// to schedule the first events.
+// NewInjector installs the injector as the manager's swap-fault hook. Call
+// Start to schedule the first events.
 func NewInjector(p Profile, seed uint64, clock *simclock.Clock, vm *vmem.Manager) *Injector {
 	inj := &Injector{prof: p, clock: clock, vm: vm, rng: xrand.New(seed)}
-	vm.Swap.SetFaults(inj.swapState)
+	vm.Faults = inj.swapState
 	return inj
 }
 
@@ -81,8 +81,8 @@ func (inj *Injector) Spaces() []*mem.AddressSpace {
 	return []*mem.AddressSpace{inj.stormAS}
 }
 
-// swapState is the SwapDevice fault hook: it renders the open windows as
-// the device's current fault state.
+// swapState is the manager's swap-fault hook: it renders the open windows
+// as the device's current fault state.
 func (inj *Injector) swapState() vmem.FaultState {
 	now := inj.clock.Now()
 	var st vmem.FaultState

@@ -245,7 +245,7 @@ func TestRunGCSurfacesVMemErrors(t *testing.T) {
 	if vm.Resident(h.AS, addr) {
 		t.Fatal("setup: object page still resident")
 	}
-	vm.Swap.SetFaults(func() vmem.FaultState { return vmem.FaultState{OfflineFor: time.Hour} })
+	vm.Faults = func() vmem.FaultState { return vmem.FaultState{OfflineFor: time.Hour} }
 	vm.MaxOfflineWait = time.Millisecond
 	if res := m.RunGC(); !errors.Is(res.Err, vmem.ErrSwapOffline) {
 		t.Errorf("RunGC error = %v, want %v", res.Err, vmem.ErrSwapOffline)

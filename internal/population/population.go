@@ -375,48 +375,16 @@ func (s Spec) ExpandDevice(i, nApps int) Device {
 	return d
 }
 
-// TierDevice scales a tier's hardware into a DeviceConfig, the same way
-// android.Pixel3 scales the paper's device: capacities and swap bandwidth
-// divide by scale so per-launch fault milliseconds stay faithful. A tier
-// with Backend "zram" carves a quarter of its DRAM into the compressed
-// pool and demotes the swap partition to backing store.
+// TierDevice scales a tier's hardware into a DeviceConfig with
+// android.ScaledDevice, as android.Pixel3 scales the paper's device. A
+// tier with Backend "zram" carves a quarter of its DRAM into the
+// compressed pool and demotes the swap partition to backing store.
 func TierDevice(t Tier, scale int64) android.DeviceConfig {
-	if scale < 1 {
-		scale = 1
-	}
-	fscale := float64(scale)
+	var pool int64
 	if kind, _ := vmem.ParseBackend(t.Backend); kind == vmem.BackendZram {
-		pool := t.DRAMBytes / 4 / scale
-		prof := vmem.ZramDeviceProfile()
-		prof.ReadBandwidth /= fscale
-		prof.WriteBandwidth /= fscale
-		backing := vmem.UFSFlashProfile()
-		backing.ReadBandwidth /= fscale
-		backing.WriteBandwidth /= fscale
-		return android.DeviceConfig{
-			DRAMBytes:           t.DRAMBytes/scale - pool,
-			SystemReservedBytes: 1400 * units.MiB / scale,
-			Swap: vmem.SwapDeviceConfig{
-				SizeBytes: pool + t.SwapBytes/scale,
-				Profile:   prof,
-				Backend:   vmem.BackendZram,
-				Zram: vmem.ZramConfig{
-					PoolBytes:      pool,
-					BackingBytes:   t.SwapBytes / scale,
-					BackingProfile: backing,
-				},
-			},
-		}
+		pool = t.DRAMBytes / 4
 	}
-	swap := vmem.DefaultSwapConfig()
-	swap.SizeBytes = t.SwapBytes / scale
-	swap.Profile.ReadBandwidth /= fscale
-	swap.Profile.WriteBandwidth /= fscale
-	return android.DeviceConfig{
-		DRAMBytes:           t.DRAMBytes / scale,
-		SystemReservedBytes: 1400 * units.MiB / scale,
-		Swap:                swap,
-	}
+	return android.ScaledDevice(t.DRAMBytes, t.SwapBytes, pool, scale)
 }
 
 // sortedKeys returns a map's keys in ascending order (deterministic

@@ -7,10 +7,14 @@ import (
 	"fleetsim/internal/mem"
 )
 
-// SwapBackend is the pluggable swap-device seam: the manager (reclaim,
-// fault-in, prefetch, madvise) talks only to this interface, so policies
-// can run against flash, compressed RAM, or anything else that models
-// per-page store/load costs deterministically.
+// SwapBackend is the pluggable swap-device seam: a backend models only
+// capacity and per-page cost, so policies can run against flash,
+// compressed RAM, or anything else that prices page stores and loads
+// deterministically. Device health (injected stall, offline and CPU-spike
+// windows) and swap bookkeeping belong to the Manager: it samples the fault
+// hook once per operation, refuses stores and waits out reads inside
+// offline windows, counts every page op in Stats, and passes the sampled
+// FaultState to the backend, which scales only its own costs by it.
 //
 // Contract (the determinism harness and invariant checker rely on it):
 //
@@ -18,23 +22,19 @@ import (
 //     durations, errors and counter states. All randomness must derive
 //     from the backend's construction seed and the page identities passed
 //     in — never from wall clock or map iteration order.
-//   - WritePage stores the page and consumes capacity; ReadPage /
-//     ReadPageSequential / Discard release it. UsedSlots() must equal the
-//     number of pages currently stored (faults.Check cross-validates it
-//     against the page tables), and FreeSlots() must never go negative.
-//   - WritePage fails fast with ErrSwapFull (no capacity) or
-//     ErrSwapOffline (injected outage); the reclaim path treats both as
-//     "skip this swap-out". Reads during an offline window are the
-//     manager's concern — it waits the window out in sim time first.
+//   - WritePage stores the page and consumes capacity; ReadPage and
+//     Discard release it. UsedSlots() must equal the number of pages
+//     currently stored (faults.Check cross-validates it against the page
+//     tables), and FreeSlots() must never go negative.
+//   - WritePage fails fast with ErrSwapFull when no route has room; the
+//     reclaim path treats it as "skip this swap-out". Reading or
+//     discarding a page that was never stored is ErrSwapCorrupt.
 //   - Returned durations are the synchronous IO+CPU the calling thread
 //     pays (compression CPU included); asynchronous device work
 //     (hotness-driven writeback) is reported via BackendStats instead.
 //   - BackendStats must be a pure function of the call history, so
 //     snapshot digests can fold it.
 type SwapBackend interface {
-	// Name returns the backend kind name ("flash", "zram").
-	Name() string
-
 	// Capacity and occupancy, in 4 KiB page slots. For compressed
 	// backends TotalSlots is the nominal (uncompressed) capacity, so
 	// UsedSlots/TotalSlots can exceed 1 when compression packs well.
@@ -49,25 +49,15 @@ type SwapBackend interface {
 	UnreserveSlots(n int64)
 	ReservedSlots() int64
 
-	// SetFaults installs the injected-fault hook, sampled before every IO.
-	SetFaults(fn func() FaultState)
-	// OfflineFor reports how long the device remains unreachable (zero
-	// when online); Online and CanWrite are the fast-path predicates.
-	OfflineFor() time.Duration
-	Online() bool
-	CanWrite() bool
-
-	// Page IO. The page identifies what is stored (compressed backends
-	// model per-page compressibility off its identity and hotness); flash
-	// ignores it. Durations are synchronous stall for the calling thread.
-	WritePage(p *mem.Page) (time.Duration, error)
-	ReadPage(p *mem.Page) (time.Duration, error)
-	ReadPageSequential(p *mem.Page) (time.Duration, error)
+	// Page IO under the fault state fs the manager sampled. The page
+	// identifies what is stored (compressed backends model per-page
+	// compressibility off its identity and hotness); flash ignores it.
+	// sequential selects readahead speed for prefetchers that batch a
+	// known page set. Durations are synchronous stall for the calling
+	// thread.
+	WritePage(p *mem.Page, fs FaultState) (time.Duration, error)
+	ReadPage(p *mem.Page, fs FaultState, sequential bool) (time.Duration, error)
 	Discard(p *mem.Page) error
-
-	// Lifetime page-op counters (swap-ins / swap-outs, writeback included).
-	Reads() int64
-	Writes() int64
 
 	// BackendStats returns the backend's extended deterministic counters
 	// (all zero for flash); snapshot.VMemDigest folds every field.

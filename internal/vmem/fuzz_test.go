@@ -133,24 +133,45 @@ func TestVMRandomOps(t *testing.T) {
 
 // FuzzVMOps drives the manager with an arbitrary op tape — touches,
 // advice, prefetches, releases, plus injected device faults (latency
-// stalls, offline windows, slot squeezes) — and requires the conservation
-// laws to hold and no corruption to latch at the end. Every error return
-// is legal under faults; what must never happen is inconsistent
-// accounting.
+// stalls, offline windows, compression-CPU spikes, slot squeezes) — and
+// requires the conservation laws to hold and no corruption to latch at the
+// end. The tape's first byte picks the backend (even: flash, odd: zram).
+// Every error return is legal under faults; what must never happen is
+// inconsistent accounting.
 func FuzzVMOps(f *testing.F) {
-	f.Add([]byte{0x00, 0x01, 0x05, 0x21, 0x10, 0x03})
-	f.Add([]byte{0x07, 0x08, 0x04, 0x63, 0x05, 0x02, 0x01, 0x30, 0x07, 0x08, 0x09, 0x01})
-	f.Add([]byte{0x08, 0x02, 0x02, 0x01, 0x20, 0x04, 0x09, 0x06, 0x20, 0x03, 0x11, 0x05})
+	for _, backend := range []byte{0x00, 0x01} {
+		f.Add(append([]byte{backend}, 0x00, 0x01, 0x05, 0x21, 0x10, 0x03))
+		f.Add(append([]byte{backend}, 0x07, 0x08, 0x04, 0x63, 0x05, 0x02, 0x01, 0x30, 0x07, 0x08, 0x09, 0x01))
+		f.Add(append([]byte{backend}, 0x08, 0x02, 0x02, 0x01, 0x20, 0x04, 0x09, 0x06, 0x20, 0x03, 0x11, 0x05))
+		// Fill DRAM past its 32 frames under a CPU spike, then swap back
+		// in, advise and prefetch under a stall, and touch across an
+		// offline window.
+		f.Add(append([]byte{backend}, 0x0a, 0x00, 0x03,
+			0x00, 0x00, 0x07, 0x00, 0x08, 0x07, 0x00, 0x10, 0x07,
+			0x00, 0x18, 0x07, 0x00, 0x20, 0x07, 0x00, 0x28, 0x07,
+			0x07, 0x00, 0x02, 0x03, 0x28, 0x07, 0x00, 0x00, 0x07, 0x05, 0x28, 0x07,
+			0x0a, 0x00, 0x00, 0x08, 0x00, 0x04, 0x00, 0x08, 0x07, 0x03, 0x00, 0x03))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
 		phys := mem.NewPhysical(32 * units.PageSize)
-		cfg := DefaultSwapConfig()
-		cfg.SizeBytes = 64 * units.PageSize
-		m := NewManager(phys, NewSwapDevice(cfg))
+		var swap SwapBackend
+		if data[0]%2 == 0 {
+			cfg := DefaultSwapConfig()
+			cfg.SizeBytes = 64 * units.PageSize
+			swap = NewSwapDevice(cfg)
+		} else {
+			swap = newTestZram(4, 60, 1) // a small pool, so stores write back
+		}
+		data = data[1:]
+		m := NewManager(phys, swap)
 		now := time.Duration(0)
 		m.Now = func() time.Duration { return now }
 
 		var fault FaultState
-		m.Swap.SetFaults(func() FaultState { return fault })
+		m.Faults = func() FaultState { return fault }
 
 		const pages = 48
 		as := mem.NewAddressSpace("fuzz")
@@ -168,7 +189,7 @@ func FuzzVMOps(f *testing.F) {
 				size = pages*units.PageSize - addr
 			}
 			now += time.Millisecond
-			switch op % 10 {
+			switch op % 11 {
 			case 0, 1, 2:
 				m.TouchRange(as, addr, size, op&0x10 != 0)
 			case 3:
@@ -196,6 +217,12 @@ func FuzzVMOps(f *testing.F) {
 					m.Swap.ReserveSlots(b)
 				} else {
 					m.Swap.UnreserveSlots(b)
+				}
+			case 10:
+				if b%4 == 0 {
+					fault.CPUFactor = 0
+				} else {
+					fault.CPUFactor = float64(1 + b%8)
 				}
 			}
 		}

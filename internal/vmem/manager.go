@@ -55,7 +55,10 @@ type Stats struct {
 	OfflineGiveUps int64
 }
 
-// Manager owns physical memory, the LRU and the swap backend.
+// Manager owns physical memory, the LRU and the swap backend, and is the
+// only reader of the swap device's injected health: every operation samples
+// Faults once, refuses stores and waits out reads inside offline windows,
+// and hands the sampled FaultState to the backend, which scales its costs.
 type Manager struct {
 	Phys *mem.Physical
 	Swap SwapBackend
@@ -78,6 +81,12 @@ type Manager struct {
 	// Now supplies virtual time for refault detection; nil means time
 	// stands still (refaults are then never detected).
 	Now func() time.Duration
+
+	// Faults, when non-nil, supplies the swap device's injected health
+	// (stall, offline and CPU-spike windows; internal/faults installs it).
+	// Left nil in fault-free runs, where every operation sees the zero
+	// FaultState.
+	Faults func() FaultState
 
 	// MaxOfflineWait bounds how long a faulting thread retries against an
 	// offline swap device before giving up with ErrSwapOffline. 0 means
@@ -120,14 +129,25 @@ func (m *Manager) noteCorrupt(err error) {
 	}
 }
 
-// waitSwapOnline models a faulting thread retrying with exponential backoff
-// (in sim time) until the swap device's offline window has passed. The data
-// is still on the device, so a read can always be retried — the thread just
-// pays the wait as stall. When MaxOfflineWait is set and the window
+// faultState samples the injected fault hook, if any.
+func (m *Manager) faultState() FaultState {
+	if m.Faults == nil {
+		return FaultState{}
+	}
+	return m.Faults()
+}
+
+// Online reports whether the swap device is outside an injected offline
+// window right now.
+func (m *Manager) Online() bool { return m.faultState().OfflineFor <= 0 }
+
+// waitOffline models a faulting thread retrying with exponential backoff
+// (in sim time) until the swap device's offline window off has passed. The
+// data is still on the device, so a read can always be retried — the thread
+// just pays the wait as stall. When MaxOfflineWait is set and the window
 // outlasts it, the thread gives up after paying the capped wait and the
 // caller surfaces ErrSwapOffline instead of stalling unboundedly.
-func (m *Manager) waitSwapOnline() (time.Duration, error) {
-	off := m.Swap.OfflineFor()
+func (m *Manager) waitOffline(off time.Duration) (time.Duration, error) {
 	if off <= 0 {
 		return 0, nil
 	}
@@ -154,6 +174,73 @@ func (m *Manager) waitSwapOnline() (time.Duration, error) {
 			ErrSwapOffline, off, m.MaxOfflineWait)
 	}
 	return waited, nil
+}
+
+// swapIn brings a swapped page back into DRAM: it waits out an offline
+// window, makes a frame free, and reads the page at random or sequential
+// (readahead) speed. It returns the wait and direct-reclaim stall and the
+// read's IO separately. The pressure callback may release the page while
+// a frame is made (its owner was killed); swapIn then returns with the
+// page unmapped and no IO.
+func (m *Manager) swapIn(p *mem.Page, sequential bool) (stall, io time.Duration, err error) {
+	fs := m.faultState()
+	stall, err = m.waitOffline(fs.OfflineFor)
+	if err != nil {
+		return stall, 0, err
+	}
+	fio, err := m.ensureFrame(1)
+	stall += fio
+	if err != nil || p.State != mem.PageSwapped {
+		return stall, 0, err
+	}
+	io, err = m.Swap.ReadPage(p, fs, sequential)
+	if err != nil {
+		m.noteCorrupt(err)
+		return stall, 0, err
+	}
+	if err := m.Phys.MakeResident(p); err != nil {
+		m.noteCorrupt(err)
+		return stall, io, fmt.Errorf("%w: %v", ErrOOM, err)
+	}
+	p.Referenced = true
+	m.lru.insert(p)
+	m.stats.SwapIns++
+	return stall, io, nil
+}
+
+// store writes a resident page to the swap backend under fs. A store
+// inside an offline window is refused like one the device has no room for
+// (ErrSwapOffline); either refusal counts in SwapWriteFails.
+func (m *Manager) store(p *mem.Page, fs FaultState) (time.Duration, error) {
+	if fs.OfflineFor > 0 {
+		m.stats.SwapWriteFails++
+		return 0, ErrSwapOffline
+	}
+	io, err := m.Swap.WritePage(p, fs)
+	if err != nil {
+		m.stats.SwapWriteFails++
+	}
+	return io, err
+}
+
+// swapOut finishes a stored page's swap-out: it moves the page (already
+// off the LRU) out of DRAM, stamps it for refault detection and counts the
+// op. A refused transition is latched as corruption, its slot discarded and
+// the page put back on the LRU; swapOut then reports false.
+func (m *Manager) swapOut(p *mem.Page) bool {
+	if err := m.Phys.MoveToSwap(p); err != nil {
+		m.noteCorrupt(err)
+		if derr := m.Swap.Discard(p); derr != nil {
+			m.noteCorrupt(derr)
+		}
+		m.lru.insert(p)
+		return false
+	}
+	m.stats.SwapOuts++
+	if m.Now != nil {
+		p.SwapOutAt = m.Now()
+	}
+	return true
 }
 
 // Touch simulates one memory access to addr's page: fault it in if needed,
@@ -195,48 +282,28 @@ func (m *Manager) touchPage(p *mem.Page, write bool) (time.Duration, error) {
 		// Retry-with-backoff across injected device-offline windows: the
 		// data cannot arrive until the device is back. A capped wait that
 		// expires aborts the access; the caller decides the process's fate.
-		wait, werr := m.waitSwapOnline()
-		stall += wait
-		if werr != nil {
-			return stall, werr
-		}
-		io, err := m.ensureFrame(1)
-		stall += io
+		wait, io, err := m.swapIn(p, false)
+		stall += wait + io
 		if err != nil {
 			return stall, err
 		}
-		// ensureFrame may have escalated to the pressure callback, which
-		// can release this very page (its owner was killed); re-check.
-		if p.State != mem.PageSwapped {
-			if p.State == mem.PageUnmapped {
-				if err := m.Phys.MakeResident(p); err != nil {
-					return stall, fmt.Errorf("%w: %v", ErrOOM, err)
-				}
-				m.lru.insert(p)
-				m.stats.MinorFaults++
-				stall += MinorFaultCost
+		if p.State == mem.PageUnmapped {
+			// The pressure callback released this very page while a frame
+			// was made; fault it in as a fresh page.
+			if err := m.Phys.MakeResident(p); err != nil {
+				return stall, fmt.Errorf("%w: %v", ErrOOM, err)
 			}
+			m.lru.insert(p)
+			m.stats.MinorFaults++
+			stall += MinorFaultCost
 			break
 		}
-		io, err = m.Swap.ReadPage(p)
-		if err != nil {
-			m.noteCorrupt(err)
-			return stall, err
-		}
-		if rerr := m.Phys.MakeResident(p); rerr != nil {
-			m.noteCorrupt(rerr)
-			return stall, fmt.Errorf("%w: %v", ErrOOM, rerr)
-		}
-		p.Referenced = true
-		m.lru.insert(p)
 		m.stats.MajorFaults++
-		m.stats.SwapIns++
 		m.stats.FaultStall += io
 		if m.Now != nil && m.Now()-p.SwapOutAt < refaultWindow {
 			m.stats.Refaults++
 			m.stats.RefaultStall += io
 		}
-		stall += io
 	}
 	if write {
 		p.Dirty = true
@@ -308,30 +375,21 @@ func (m *Manager) ReleaseSpace(as *mem.AddressSpace) {
 // takes them first. The returned duration is the total write IO, which the
 // caller decides how to account (Fleet issues it from a background thread).
 func (m *Manager) AdviseCold(as *mem.AddressSpace, addr, size int64) time.Duration {
+	fs := m.faultState()
 	var io time.Duration
 	as.ForRange(addr, size, func(p *mem.Page) {
 		if p.State != mem.PageResident || p.Pinned {
 			return
 		}
 		p.Hot = false
-		wio, err := m.Swap.WritePage(p)
+		wio, err := m.store(p, fs)
 		if err != nil {
-			m.stats.SwapWriteFails++
 			m.lru.moveToInactiveTail(p)
 			return
 		}
 		io += wio
 		m.lru.remove(p)
-		if err := m.Phys.MoveToSwap(p); err != nil {
-			// Undo the slot; leave the page where it was.
-			m.noteCorrupt(err)
-			if derr := m.Swap.Discard(p); derr != nil {
-				m.noteCorrupt(derr)
-			}
-			m.lru.insert(p)
-			return
-		}
-		m.noteSwapOut(p)
+		m.swapOut(p)
 	})
 	return io
 }
@@ -379,36 +437,15 @@ func (m *Manager) Prefetch(as *mem.AddressSpace, addr, size int64) (int64, time.
 		if firstErr != nil || p.State != mem.PageSwapped {
 			return
 		}
-		wait, werr := m.waitSwapOnline()
-		io += wait
-		if werr != nil {
-			firstErr = werr
-			return
-		}
-		fio, err := m.ensureFrame(1)
-		io += fio
+		wait, rio, err := m.swapIn(p, true)
+		io += wait + rio
 		if err != nil {
 			firstErr = err
 			return
 		}
-		if p.State != mem.PageSwapped {
+		if p.State != mem.PageResident {
 			return // released by the pressure callback mid-prefetch
 		}
-		rio, err := m.Swap.ReadPageSequential(p)
-		if err != nil {
-			m.noteCorrupt(err)
-			firstErr = err
-			return
-		}
-		io += rio
-		if err := m.Phys.MakeResident(p); err != nil {
-			m.noteCorrupt(err)
-			firstErr = fmt.Errorf("%w: %v", ErrOOM, err)
-			return
-		}
-		p.Referenced = true
-		m.lru.insert(p)
-		m.stats.SwapIns++
 		pages++
 	})
 	m.balance()
@@ -468,17 +505,15 @@ func (m *Manager) ensureFrame(need int64) (time.Duration, error) {
 }
 
 // reclaim scans the LRU and swaps out up to want pages, returning the IO
-// time and the number of frames actually freed. A full or offline swap
+// time and the number of frames actually freed. An offline or full swap
 // device stops the pass: remaining victims go back on the LRU, the pages
 // stay resident and pressure persists — real zram behaviour.
 func (m *Manager) reclaim(want int64, emergency bool) (time.Duration, int64) {
+	fs := m.faultState()
 	var io time.Duration
 	var freed int64
 scan:
-	for freed < want {
-		if !m.Swap.CanWrite() {
-			break
-		}
+	for freed < want && fs.OfflineFor <= 0 && m.Swap.FreeSlots() > 0 {
 		m.lru.rebalance()
 		batch := want - freed
 		if batch > 32 {
@@ -489,41 +524,25 @@ scan:
 			break
 		}
 		for vi, p := range victims {
-			wio, err := m.Swap.WritePage(p)
+			wio, err := m.store(p, fs)
 			if err != nil {
-				// Swap refused the store (full or went offline): put this
-				// and all remaining victims back; the caller escalates.
-				m.stats.SwapWriteFails++
+				// Swap refused the store (full): put this and all
+				// remaining victims back; the caller escalates.
 				for _, q := range victims[vi:] {
 					m.lru.insert(q)
 				}
 				break scan
 			}
 			io += wio
-			if err := m.Phys.MoveToSwap(p); err != nil {
-				m.noteCorrupt(err)
-				if derr := m.Swap.Discard(p); derr != nil {
-					m.noteCorrupt(derr)
-				}
-				m.lru.insert(p)
-				continue
+			if m.swapOut(p) {
+				freed++
 			}
-			m.noteSwapOut(p)
-			freed++
 		}
 	}
 	if m.AfterReclaim != nil {
 		m.AfterReclaim()
 	}
 	return io, freed
-}
-
-// noteSwapOut stamps the page for refault detection and counts the op.
-func (m *Manager) noteSwapOut(p *mem.Page) {
-	m.stats.SwapOuts++
-	if m.Now != nil {
-		p.SwapOutAt = m.Now()
-	}
 }
 
 // ProactiveReclaim swaps out up to want LRU-tail pages ahead of any

@@ -8,8 +8,9 @@ import (
 )
 
 // FaultState is the externally injected health of the swap device at one
-// instant. internal/faults computes it from its scheduled fault windows;
-// the device itself stays policy-free.
+// instant. internal/faults computes it from its scheduled fault windows and
+// hands it to the Manager through its Faults hook; backends only scale
+// their costs by it.
 type FaultState struct {
 	// LatencyFactor multiplies every IO time (transient stall window).
 	// Values <= 0 or == 1 mean no stall.
@@ -22,6 +23,22 @@ type FaultState struct {
 	// little-core cluster). Only compressed backends pay it; flash IO is
 	// unaffected. Values <= 0 or == 1 mean no spike.
 	CPUFactor float64
+}
+
+// stretch applies the latency factor of a transient stall window.
+func (fs FaultState) stretch(io time.Duration) time.Duration {
+	if fs.LatencyFactor > 1 {
+		return time.Duration(float64(io) * fs.LatencyFactor)
+	}
+	return io
+}
+
+// cpu applies the factor of a compression-CPU-spike window.
+func (fs FaultState) cpu(d time.Duration) time.Duration {
+	if fs.CPUFactor > 1 {
+		return time.Duration(float64(d) * fs.CPUFactor)
+	}
+	return d
 }
 
 // SwapDevice models the flash-based swap partition: a fixed number of 4 KB
@@ -38,13 +55,6 @@ type SwapDevice struct {
 
 	// Profile is the device's performance envelope.
 	Profile DeviceProfile
-
-	// faults, when non-nil, is sampled before every IO to pick up injected
-	// stall and offline windows. Left nil in fault-free runs, costing one
-	// predictable branch.
-	faults func() FaultState
-
-	reads, writes int64 // lifetime page-op counters
 }
 
 // SwapDeviceConfig configures a swap backend: its nominal capacity, its
@@ -75,9 +85,6 @@ func NewSwapDevice(cfg SwapDeviceConfig) *SwapDevice {
 		Profile:    cfg.Profile.normalized(),
 	}
 }
-
-// Name returns "flash".
-func (d *SwapDevice) Name() string { return "flash" }
 
 // TotalSlots returns the device capacity in page slots.
 func (d *SwapDevice) TotalSlots() int64 { return d.totalSlots }
@@ -113,80 +120,32 @@ func (d *SwapDevice) UnreserveSlots(n int64) {
 	}
 }
 
-// SetFaults installs the injected-fault hook.
-func (d *SwapDevice) SetFaults(fn func() FaultState) { d.faults = fn }
-
-// faultState samples the injected fault hook, if any.
-func (d *SwapDevice) faultState() FaultState {
-	if d.faults == nil {
-		return FaultState{}
-	}
-	return d.faults()
-}
-
-// OfflineFor reports how long the device remains unreachable (zero when
-// online). The manager waits this out in sim time before swap-ins.
-func (d *SwapDevice) OfflineFor() time.Duration {
-	return d.faultState().OfflineFor
-}
-
-// Online reports whether the device currently accepts IO.
-func (d *SwapDevice) Online() bool { return d.OfflineFor() <= 0 }
-
-// CanWrite reports whether a swap-out could succeed right now: device
-// present, online, and at least one free slot.
-func (d *SwapDevice) CanWrite() bool {
-	return d.totalSlots > 0 && d.FreeSlots() > 0 && d.Online()
-}
-
-// stretch applies the injected latency factor of a transient stall window.
-func (d *SwapDevice) stretch(io time.Duration) time.Duration {
-	if f := d.faultState().LatencyFactor; f > 1 {
-		return time.Duration(float64(io) * f)
-	}
-	return io
-}
-
-// WritePage stores one page, consuming a slot, and returns the IO time.
-// Fails fast with ErrSwapFull when no slot is free and ErrSwapOffline
-// during an injected offline window — the reclaim path treats both as
-// "skip this swap-out", exactly like zram refusing a store. Flash costs
-// are content-independent, so the page argument is unused.
-func (d *SwapDevice) WritePage(*mem.Page) (time.Duration, error) {
-	if !d.Online() {
-		return 0, ErrSwapOffline
-	}
+// WritePage stores one page, consuming a slot, and returns the IO time
+// stretched by fs's latency factor. It fails fast with ErrSwapFull when no
+// slot is free; the reclaim path treats that as "skip this swap-out",
+// exactly like zram refusing a store. Flash costs are content-independent,
+// so the page argument is unused.
+func (d *SwapDevice) WritePage(_ *mem.Page, fs FaultState) (time.Duration, error) {
 	if d.FreeSlots() <= 0 {
 		return 0, ErrSwapFull
 	}
 	d.usedSlots++
-	d.writes++
-	return d.stretch(d.Profile.WriteTime(units.PageSize)), nil
+	return fs.stretch(d.Profile.WriteTime(units.PageSize)), nil
 }
 
-// ReadPage loads one page back, freeing its slot, and returns the IO time.
+// ReadPage loads one page back, freeing its slot, and returns the IO time
+// (readahead speed when sequential) stretched by fs's latency factor.
 // Reading a slot that was never written is accounting corruption
-// (ErrSwapCorrupt). Offline windows are the manager's concern: it waits
-// them out in sim time before calling (a read can always be retried; the
-// data is still on the device).
-func (d *SwapDevice) ReadPage(*mem.Page) (time.Duration, error) {
+// (ErrSwapCorrupt).
+func (d *SwapDevice) ReadPage(_ *mem.Page, fs FaultState, sequential bool) (time.Duration, error) {
 	if d.usedSlots <= 0 {
 		return 0, ErrSwapCorrupt
 	}
 	d.usedSlots--
-	d.reads++
-	return d.stretch(d.Profile.ReadTime(units.PageSize)), nil
-}
-
-// ReadPageSequential is ReadPage at readahead (sequential) speed, for
-// prefetchers that batch a known page set.
-func (d *SwapDevice) ReadPageSequential(*mem.Page) (time.Duration, error) {
-	if d.usedSlots <= 0 {
-		return 0, ErrSwapCorrupt
+	if sequential {
+		return fs.stretch(d.Profile.SeqReadTime(units.PageSize)), nil
 	}
-	d.usedSlots--
-	d.reads++
-	return d.stretch(d.Profile.SeqReadTime(units.PageSize)), nil
+	return fs.stretch(d.Profile.ReadTime(units.PageSize)), nil
 }
 
 // Discard frees a slot without a read (the page's memory was released).
@@ -197,12 +156,6 @@ func (d *SwapDevice) Discard(*mem.Page) error {
 	d.usedSlots--
 	return nil
 }
-
-// Reads returns the lifetime count of page reads (swap-ins).
-func (d *SwapDevice) Reads() int64 { return d.reads }
-
-// Writes returns the lifetime count of page writes (swap-outs).
-func (d *SwapDevice) Writes() int64 { return d.writes }
 
 // BackendStats returns zeroes: flash has no compression machinery.
 func (d *SwapDevice) BackendStats() BackendStats { return BackendStats{} }

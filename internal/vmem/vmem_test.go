@@ -9,18 +9,31 @@ import (
 	"fleetsim/internal/units"
 )
 
-// rig builds a Manager with dramPages of DRAM and swapPages of swap.
+// rig builds a Manager with dramPages of DRAM and swapPages of flash swap.
 func rig(dramPages, swapPages int64) (*Manager, *mem.AddressSpace) {
-	phys := mem.NewPhysical(dramPages * units.PageSize)
-	swap := NewSwapDevice(SwapDeviceConfig{
-		SizeBytes: swapPages * units.PageSize,
-		Profile:   UFSFlashProfile(),
-	})
-	m := NewManager(phys, swap)
+	return rigWith(dramPages, testBackends[0].build(swapPages))
+}
+
+// rigWith builds a Manager with dramPages of DRAM in front of swap.
+func rigWith(dramPages int64, swap SwapBackend) (*Manager, *mem.AddressSpace) {
+	m := NewManager(mem.NewPhysical(dramPages*units.PageSize), swap)
 	m.LowWatermark = 2
 	m.HighWatermark = 4
 	as := mem.NewAddressSpace("app")
 	return m, as
+}
+
+// testBackends builds a flash device and a zram device (a pool and a
+// backing partition of half the slots each) of swapPages nominal slots,
+// for the manager tests that must hold on either backend.
+var testBackends = []struct {
+	name  string
+	build func(swapPages int64) SwapBackend
+}{
+	{"flash", func(n int64) SwapBackend {
+		return NewSwapDevice(SwapDeviceConfig{SizeBytes: n * units.PageSize, Profile: UFSFlashProfile()})
+	}},
+	{"zram", func(n int64) SwapBackend { return newTestZram(n/2, n-n/2, 1) }},
 }
 
 func touchPage(t *testing.T, m *Manager, as *mem.AddressSpace, idx int64) time.Duration {
@@ -278,24 +291,21 @@ func TestSwapDeviceAccounting(t *testing.T) {
 	if d.TotalSlots() != 2 {
 		t.Fatalf("slots = %d", d.TotalSlots())
 	}
-	w, werr := d.WritePage(nil)
+	w, werr := d.WritePage(nil, FaultState{})
 	if werr != nil {
 		t.Fatalf("WritePage: %v", werr)
 	}
 	if w <= time.Millisecond {
 		t.Errorf("write cost = %v", w)
 	}
-	r, rerr := d.ReadPage(nil)
+	r, rerr := d.ReadPage(nil, FaultState{}, false)
 	if rerr != nil {
 		t.Fatalf("ReadPage: %v", rerr)
 	}
 	if r <= time.Millisecond {
 		t.Errorf("read cost = %v", r)
 	}
-	if d.Reads() != 1 || d.Writes() != 1 {
-		t.Errorf("ops: r=%d w=%d", d.Reads(), d.Writes())
-	}
-	d.WritePage(nil)
+	d.WritePage(nil, FaultState{})
 	d.Discard(nil)
 	if d.UsedSlots() != 0 {
 		t.Errorf("used = %d", d.UsedSlots())
@@ -305,10 +315,10 @@ func TestSwapDeviceAccounting(t *testing.T) {
 func TestSwapDeviceFullReturnsErrSwapFull(t *testing.T) {
 	prof := DeviceProfile{ReadBandwidth: 1e6, WriteBandwidth: 1e6}
 	d := NewSwapDevice(SwapDeviceConfig{SizeBytes: units.PageSize, Profile: prof})
-	if _, err := d.WritePage(nil); err != nil {
+	if _, err := d.WritePage(nil, FaultState{}); err != nil {
 		t.Fatalf("first write: %v", err)
 	}
-	if _, err := d.WritePage(nil); !errors.Is(err, ErrSwapFull) {
+	if _, err := d.WritePage(nil, FaultState{}); !errors.Is(err, ErrSwapFull) {
 		t.Errorf("WritePage on full device = %v, want ErrSwapFull", err)
 	}
 	if d.UsedSlots() != 1 {
@@ -338,51 +348,126 @@ func TestDRAMCost(t *testing.T) {
 }
 
 func TestOfflineWindowWaitsWithBackoff(t *testing.T) {
-	m, as := rig(32, 8)
-	base := as.Reserve(units.PageSize)
-	m.TouchRange(as, base, units.PageSize, true)
-	m.AdviseCold(as, base, units.PageSize)
+	for _, b := range testBackends {
+		t.Run(b.name, func(t *testing.T) {
+			m, as := rigWith(32, b.build(8))
+			base := as.Reserve(units.PageSize)
+			m.TouchRange(as, base, units.PageSize, true)
+			m.AdviseCold(as, base, units.PageSize)
+			if as.SwappedPages() != 1 {
+				t.Fatal("setup: page not swapped out")
+			}
 
-	window := 5 * time.Millisecond
-	m.Swap.SetFaults(func() FaultState { return FaultState{OfflineFor: window} })
-	stall, err := m.TouchRange(as, base, units.PageSize, false)
-	if err != nil {
-		t.Fatalf("swap-in across offline window: %v", err)
-	}
-	if stall < window {
-		t.Errorf("stall %v shorter than the offline window %v", stall, window)
-	}
-	st := m.Stats()
-	if st.SwapRetries == 0 {
-		t.Error("no backoff retries counted")
-	}
-	if st.OfflineWait < window {
-		t.Errorf("offline wait %v < window %v", st.OfflineWait, window)
-	}
-	if as.ResidentPages() != 1 {
-		t.Error("page not resident after waiting the window out")
+			window := 5 * time.Millisecond
+			m.Faults = func() FaultState { return FaultState{OfflineFor: window} }
+			stall, err := m.TouchRange(as, base, units.PageSize, false)
+			if err != nil {
+				t.Fatalf("swap-in across offline window: %v", err)
+			}
+			if stall < window {
+				t.Errorf("stall %v shorter than the offline window %v", stall, window)
+			}
+			st := m.Stats()
+			if st.SwapRetries == 0 {
+				t.Error("no backoff retries counted")
+			}
+			if st.OfflineWait < window {
+				t.Errorf("offline wait %v < window %v", st.OfflineWait, window)
+			}
+			if as.ResidentPages() != 1 {
+				t.Error("page not resident after waiting the window out")
+			}
+		})
 	}
 }
 
 func TestOfflineSkipsSwapOutAndEscalates(t *testing.T) {
-	m, as := rig(8, 64)
+	for _, b := range testBackends {
+		t.Run(b.name, func(t *testing.T) {
+			m, as := rigWith(8, b.build(64))
+			as.Reserve(64 * units.PageSize)
+			m.Faults = func() FaultState { return FaultState{OfflineFor: time.Second} }
+			kills := 0
+			m.OnPressure = func(need int64) bool {
+				kills++
+				start := int64(kills-1) * 8
+				m.ReleaseRange(as, start*units.PageSize, 8*units.PageSize)
+				return true
+			}
+			for i := int64(0); i < 30; i++ {
+				touchPage(t, m, as, i)
+			}
+			if m.Swap.UsedSlots() != 0 {
+				t.Errorf("pages written to an offline device: %d slots", m.Swap.UsedSlots())
+			}
+			if kills == 0 {
+				t.Error("reclaim never escalated to lmkd while swap was offline")
+			}
+			// madvise(COLD) inside the window is refused and counted.
+			if as.PageByIndex(29).State != mem.PageResident {
+				t.Fatal("setup: last touched page not resident")
+			}
+			m.AdviseCold(as, 29*units.PageSize, units.PageSize)
+			if m.Swap.UsedSlots() != 0 || m.Stats().SwapWriteFails == 0 {
+				t.Errorf("AdviseCold in an offline window: %d slots used, %d write fails",
+					m.Swap.UsedSlots(), m.Stats().SwapWriteFails)
+			}
+		})
+	}
+}
+
+// TestFaultFactorsScaleBackendCosts pins how each backend prices a page
+// under an injected FaultState: flash stretches its IO by LatencyFactor;
+// a zram pool store books its compression CPU scaled by CPUFactor and
+// returns that stretched by LatencyFactor; zram writeback books its flash
+// IO stretched by LatencyFactor.
+func TestFaultFactorsScaleBackendCosts(t *testing.T) {
+	scaled := func(d time.Duration, f float64) time.Duration { return time.Duration(float64(d) * f) }
+	flashWrite := UFSFlashProfile().WriteTime(units.PageSize)
+
+	d := NewSwapDevice(SwapDeviceConfig{SizeBytes: units.PageSize, Profile: UFSFlashProfile()})
+	if got, _ := d.WritePage(nil, FaultState{LatencyFactor: 3}); got != scaled(flashWrite, 3) {
+		t.Errorf("flash write under LatencyFactor 3 = %v, want 3 x %v", got, flashWrite)
+	}
+
+	// A one-page pool: the first compressible store fits, and within a few
+	// more the pool runs out of room and writes earlier pages back to flash.
+	z := newTestZram(1, 8, 1)
+	as := mem.NewAddressSpace("cost")
 	as.Reserve(64 * units.PageSize)
-	m.Swap.SetFaults(func() FaultState { return FaultState{OfflineFor: time.Second} })
-	kills := 0
-	m.OnPressure = func(need int64) bool {
-		kills++
-		start := int64(kills-1) * 8
-		m.ReleaseRange(as, start*units.PageSize, 8*units.PageSize)
-		return true
+	var compressible []*mem.Page
+	for i := int64(0); i < 64; i++ {
+		if p := as.PageAt(i); z.csizeOf(p) <= incompressibleBytes {
+			compressible = append(compressible, p)
+		}
 	}
-	for i := int64(0); i < 30; i++ {
-		touchPage(t, m, as, i)
+	fs := FaultState{CPUFactor: 2, LatencyFactor: 3}
+	compress := scaled(ZramDeviceProfile().WriteTime(units.PageSize), 2)
+	got, err := z.WritePage(compressible[0], fs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m.Swap.UsedSlots() != 0 {
-		t.Errorf("pages written to an offline device: %d slots", m.Swap.UsedSlots())
+	if st := z.BackendStats(); st.StoredPages != 1 || st.CompressCPU != compress {
+		t.Errorf("pool store booked %v compression CPU (%d stored), want 2 x %v",
+			st.CompressCPU, st.StoredPages, ZramDeviceProfile().WriteTime(units.PageSize))
 	}
-	if kills == 0 {
-		t.Error("reclaim never escalated to lmkd while swap was offline")
+	if got != scaled(compress, 3) {
+		t.Errorf("pool store under CPUFactor 2, LatencyFactor 3 = %v, want %v", got, scaled(compress, 3))
+	}
+	for _, p := range compressible[1:] {
+		if _, err := z.WritePage(p, FaultState{LatencyFactor: 3}); err != nil {
+			t.Fatal(err)
+		}
+		if z.BackendStats().Writebacks > 0 {
+			break
+		}
+	}
+	st := z.BackendStats()
+	if st.Writebacks == 0 {
+		t.Fatal("setup: no writeback")
+	}
+	if want := time.Duration(st.Writebacks) * scaled(flashWrite, 3); st.WritebackIO != want {
+		t.Errorf("%d writebacks booked %v of flash IO, want %v", st.Writebacks, st.WritebackIO, want)
 	}
 }
 

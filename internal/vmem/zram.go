@@ -7,18 +7,16 @@ import (
 	"fleetsim/internal/units"
 )
 
-// ZramConfig tunes the compressed-RAM backend. Zero values pick the
-// defaults noted on each field.
+// ZramConfig sizes the compressed-RAM backend.
 type ZramConfig struct {
 	// PoolBytes is the DRAM carved out for the compressed pool. The caller
-	// (DeviceConfig) must subtract it from system DRAM. 0 → SizeBytes/4.
+	// (DeviceConfig) must subtract it from system DRAM.
 	PoolBytes int64
 	// BackingBytes sizes the flash partition behind the pool, serving
-	// incompressible fallthrough and cold-page writeback. 0 disables the
-	// backing device entirely (pool-only zram).
+	// incompressible fallthrough and cold-page writeback. 0 leaves a
+	// zero-slot backing device (pool-only zram).
 	BackingBytes int64
-	// BackingProfile is the backing partition's performance envelope; the
-	// zero value means UFSFlashProfile.
+	// BackingProfile is the backing partition's performance envelope.
 	BackingProfile DeviceProfile
 }
 
@@ -52,10 +50,9 @@ type zentry struct {
 // Store/load charge compression CPU to the calling thread — the cost GC
 // pauses and hot-launch latency pay for the extra capacity.
 type Zram struct {
-	profile  DeviceProfile // compress/decompress throughput, op latency
-	seed     uint64
-	backing  *SwapDevice // nil when BackingBytes == 0
-	noneSlot SwapDevice  // zero-capacity stand-in when backing is disabled
+	profile DeviceProfile // compress/decompress throughput, op latency
+	seed    uint64
+	backing *SwapDevice // zero slots when BackingBytes == 0
 
 	poolBytes    int64
 	poolUsed     int64
@@ -65,10 +62,7 @@ type Zram struct {
 	queue   []*zentry // writeback clock, store order
 	qhead   int
 
-	faults func() FaultState
-
-	reads, writes int64
-	stats         BackendStats
+	stats BackendStats
 }
 
 // NewZram builds the compressed backend from cfg (cfg.Backend is assumed
@@ -76,29 +70,13 @@ type Zram struct {
 // per-page compressibility model.
 func NewZram(cfg SwapDeviceConfig, seed uint64) *Zram {
 	zc := cfg.Zram
-	if zc.PoolBytes <= 0 {
-		zc.PoolBytes = cfg.SizeBytes / 4
-	}
-	prof := cfg.Profile
-	if prof == (DeviceProfile{}) {
-		prof = ZramDeviceProfile()
-	}
-	z := &Zram{
-		profile:   prof.normalized(),
+	return &Zram{
+		profile:   cfg.Profile,
 		seed:      seed,
+		backing:   NewSwapDevice(SwapDeviceConfig{SizeBytes: zc.BackingBytes, Profile: zc.BackingProfile}),
 		poolBytes: zc.PoolBytes,
 		entries:   make(map[zkey]*zentry),
 	}
-	if zc.BackingBytes > 0 {
-		bp := zc.BackingProfile
-		if bp == (DeviceProfile{}) {
-			bp = UFSFlashProfile()
-		}
-		z.backing = NewSwapDevice(SwapDeviceConfig{SizeBytes: zc.BackingBytes, Profile: bp})
-	} else {
-		z.backing = &z.noneSlot // 0 slots: every op reports full/corrupt
-	}
-	return z
 }
 
 // csizeOf is the seeded compressibility model: a deterministic hash of
@@ -128,9 +106,6 @@ func (z *Zram) csizeOf(p *mem.Page) int64 {
 	frac := 0.05 + 0.85*u*u
 	return int64(frac * float64(units.PageSize))
 }
-
-// Name returns "zram".
-func (z *Zram) Name() string { return "zram" }
 
 // TotalSlots is the nominal capacity: pool pages (uncompressed accounting)
 // plus the backing partition. Compression can pack UsedSlots past the pool
@@ -192,59 +167,13 @@ func (z *Zram) UnreserveSlots(n int64) {
 // ReservedSlots reports the current fault-injected hold.
 func (z *Zram) ReservedSlots() int64 { return z.reservedPool + z.backing.ReservedSlots() }
 
-// SetFaults installs the injected-fault hook on the pool and the backing
-// device alike: offline/stall windows gate both, CPUFactor only touches
-// (de)compression.
-func (z *Zram) SetFaults(fn func() FaultState) {
-	z.faults = fn
-	z.backing.SetFaults(fn)
-}
-
-func (z *Zram) faultState() FaultState {
-	if z.faults == nil {
-		return FaultState{}
-	}
-	return z.faults()
-}
-
-// OfflineFor reports the injected outage window remaining.
-func (z *Zram) OfflineFor() time.Duration { return z.faultState().OfflineFor }
-
-// Online reports whether the backend accepts IO.
-func (z *Zram) Online() bool { return z.OfflineFor() <= 0 }
-
-// CanWrite reports whether a store could succeed right now without a
-// writeback pass: a full page of pool free (compressed stores always fit)
-// or a free backing slot.
-func (z *Zram) CanWrite() bool {
-	if !z.Online() {
-		return false
-	}
-	return z.poolFree() >= units.PageSize || z.backing.CanWrite()
-}
-
-// cpu applies the injected compression-CPU-spike factor to a CPU duration.
-func (z *Zram) cpu(d time.Duration) time.Duration {
-	if f := z.faultState().CPUFactor; f > 1 {
-		return time.Duration(float64(d) * f)
-	}
-	return d
-}
-
-// stretch applies the injected latency factor of a transient stall window.
-func (z *Zram) stretch(io time.Duration) time.Duration {
-	if f := z.faultState().LatencyFactor; f > 1 {
-		return time.Duration(float64(io) * f)
-	}
-	return io
-}
-
 // writeback moves cold pool entries to the backing device until need bytes
 // of pool are free or nothing more can move. Entries leave in store order;
 // a hot entry is demoted and re-queued once before it becomes a victim
-// (hotness-aware writeback). The flash time is asynchronous device work
-// accounted in stats.WritebackIO, not charged to the calling thread.
-func (z *Zram) writeback(need int64) {
+// (hotness-aware writeback). The flash time, stretched by fs like any
+// backing IO, is asynchronous device work accounted in stats.WritebackIO,
+// not charged to the calling thread.
+func (z *Zram) writeback(need int64, fs FaultState) {
 	for z.poolFree() < need && z.qhead < len(z.queue) {
 		e := z.queue[z.qhead]
 		z.qhead++
@@ -256,7 +185,7 @@ func (z *Zram) writeback(need int64) {
 			z.queue = append(z.queue, e)
 			continue
 		}
-		dur, err := z.backing.WritePage(nil)
+		dur, err := z.backing.WritePage(nil, fs)
 		if err != nil {
 			z.qhead-- // no backing room: leave e queued for a later pass
 			return
@@ -277,10 +206,12 @@ func (z *Zram) writeback(need int64) {
 	}
 }
 
-// storeInPool compresses the page into the pool, charging compression CPU.
-func (z *Zram) storeInPool(p *mem.Page, csize int64) (time.Duration, error) {
+// storeInPool compresses the page into the pool, booking the compression
+// CPU scaled by fs's CPU factor and returning it stretched by its latency
+// factor.
+func (z *Zram) storeInPool(p *mem.Page, csize int64, fs FaultState) (time.Duration, error) {
 	if z.poolFree() < csize {
-		z.writeback(csize)
+		z.writeback(csize, fs)
 	}
 	if z.poolFree() < csize {
 		return 0, ErrSwapFull
@@ -291,21 +222,19 @@ func (z *Zram) storeInPool(p *mem.Page, csize int64) (time.Duration, error) {
 	z.poolUsed += csize
 	z.stats.StoredPages++
 	z.stats.CompressedBytes += csize
-	cpu := z.cpu(z.profile.WriteTime(units.PageSize))
+	cpu := fs.cpu(z.profile.WriteTime(units.PageSize))
 	z.stats.CompressCPU += cpu
-	z.writes++
-	return z.stretch(cpu), nil
+	return fs.stretch(cpu), nil
 }
 
 // storeInFlash routes the page to the backing device uncompressed.
-func (z *Zram) storeInFlash(p *mem.Page) (time.Duration, error) {
-	dur, err := z.backing.WritePage(p)
+func (z *Zram) storeInFlash(p *mem.Page, fs FaultState) (time.Duration, error) {
+	dur, err := z.backing.WritePage(p, fs)
 	if err != nil {
 		return 0, err
 	}
 	e := &zentry{key: zkey{p.Space.Owner, p.Index}, inFlash: true}
 	z.entries[e.key] = e
-	z.writes++
 	return dur, nil
 }
 
@@ -313,22 +242,19 @@ func (z *Zram) storeInFlash(p *mem.Page) (time.Duration, error) {
 // CPU charged to the caller), incompressible ones fall through to backing
 // flash, and a pool with no room after writeback spills to flash too. Only
 // when every route is exhausted does it reject with ErrSwapFull.
-func (z *Zram) WritePage(p *mem.Page) (time.Duration, error) {
-	if !z.Online() {
-		return 0, ErrSwapOffline
-	}
+func (z *Zram) WritePage(p *mem.Page, fs FaultState) (time.Duration, error) {
 	csize := z.csizeOf(p)
 	if csize > incompressibleBytes {
 		// Size-adaptive selection: not worth the CPU, go straight to flash.
 		// (Compressing it is still better than failing if flash is full.)
-		if dur, err := z.storeInFlash(p); err == nil {
+		if dur, err := z.storeInFlash(p, fs); err == nil {
 			z.stats.Fallthroughs++
 			return dur, nil
 		}
 	}
-	dur, err := z.storeInPool(p, csize)
+	dur, err := z.storeInPool(p, csize, fs)
 	if err == ErrSwapFull {
-		if dur2, err2 := z.storeInFlash(p); err2 == nil {
+		if dur2, err2 := z.storeInFlash(p, fs); err2 == nil {
 			return dur2, nil
 		}
 		z.stats.FullRejects++
@@ -348,36 +274,26 @@ func (z *Zram) lookup(p *mem.Page) *zentry {
 	return e
 }
 
-// readPage serves a swap-in; sequential selects readahead speed on the
-// backing device (the pool is already memory — no readahead win there).
-func (z *Zram) readPage(p *mem.Page, sequential bool) (time.Duration, error) {
+// ReadPage loads one page back: a pool hit decompresses (CPU scaled by
+// fs's CPU factor, booked, and charged to the faulting thread stretched by
+// its latency factor; the pool is already memory, so sequential gains
+// nothing), a backing-flash entry reads the device, at readahead speed
+// when sequential.
+func (z *Zram) ReadPage(p *mem.Page, fs FaultState, sequential bool) (time.Duration, error) {
 	e := z.lookup(p)
 	if e == nil {
 		return 0, ErrSwapCorrupt
 	}
 	if e.inFlash {
-		z.reads++
-		if sequential {
-			return z.backing.ReadPageSequential(p)
-		}
-		return z.backing.ReadPage(p)
+		return z.backing.ReadPage(p, fs, sequential)
 	}
 	z.poolUsed -= e.csize
 	z.stats.CompressedBytes -= e.csize
 	z.stats.StoredPages--
-	z.reads++
-	cpu := z.cpu(z.profile.ReadTime(units.PageSize))
+	cpu := fs.cpu(z.profile.ReadTime(units.PageSize))
 	z.stats.DecompressCPU += cpu
-	return z.stretch(cpu), nil
+	return fs.stretch(cpu), nil
 }
-
-// ReadPage loads one page back, decompressing from the pool (CPU charged
-// to the faulting thread) or reading the backing device.
-func (z *Zram) ReadPage(p *mem.Page) (time.Duration, error) { return z.readPage(p, false) }
-
-// ReadPageSequential is ReadPage at prefetch speed where the entry lives on
-// backing flash; pool hits cost the same either way.
-func (z *Zram) ReadPageSequential(p *mem.Page) (time.Duration, error) { return z.readPage(p, true) }
 
 // Discard frees a stored page without a read.
 func (z *Zram) Discard(p *mem.Page) error {
@@ -393,13 +309,6 @@ func (z *Zram) Discard(p *mem.Page) error {
 	z.stats.StoredPages--
 	return nil
 }
-
-// Reads returns the lifetime count of page loads (swap-ins).
-func (z *Zram) Reads() int64 { return z.reads }
-
-// Writes returns the lifetime count of page stores (swap-outs); writeback
-// traffic is internal and reported via BackendStats instead.
-func (z *Zram) Writes() int64 { return z.writes }
 
 // BackendStats returns the compression counters; snapshot digests fold
 // every field.

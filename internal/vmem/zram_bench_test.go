@@ -15,14 +15,7 @@ import (
 // checked-in BENCH_5.json baseline.
 func BenchmarkZramSwapOut(b *testing.B) {
 	const poolPages = 256
-	z := NewZram(SwapDeviceConfig{
-		SizeBytes: 3 * poolPages * units.PageSize,
-		Backend:   BackendZram,
-		Zram: ZramConfig{
-			PoolBytes:    poolPages * units.PageSize,
-			BackingBytes: 2 * poolPages * units.PageSize,
-		},
-	}, 1)
+	z := newTestZram(poolPages, 2*poolPages, 1)
 
 	as := mem.NewAddressSpace("bench")
 	as.Reserve(2 * poolPages * units.PageSize)
@@ -38,13 +31,13 @@ func BenchmarkZramSwapOut(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := i % len(pages)
 		if stored[k] {
-			if _, err := z.ReadPage(pages[k]); err != nil {
+			if _, err := z.ReadPage(pages[k], FaultState{}, false); err != nil {
 				b.Fatal(err)
 			}
 			stored[k] = false
 			continue
 		}
-		if _, err := z.WritePage(pages[k]); err == nil {
+		if _, err := z.WritePage(pages[k], FaultState{}); err == nil {
 			stored[k] = true
 		}
 	}

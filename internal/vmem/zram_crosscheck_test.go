@@ -8,17 +8,17 @@ import (
 	"fleetsim/internal/xrand"
 )
 
-// zramUnderTest builds a small zram backend (64-page pool, 32-slot backing
-// flash) so the random workload reaches every route quickly: pool stores,
-// incompressible fallthrough, hotness-aware writeback, flash spill and
-// ErrSwapFull rejection.
-func zramUnderTest(seed uint64) *Zram {
+// newTestZram builds a zram backend with a poolPages-page pool on the
+// zram profile and backingPages slots of UFS backing flash.
+func newTestZram(poolPages, backingPages int64, seed uint64) *Zram {
 	return NewZram(SwapDeviceConfig{
-		SizeBytes: 96 * units.PageSize,
+		SizeBytes: (poolPages + backingPages) * units.PageSize,
+		Profile:   ZramDeviceProfile(),
 		Backend:   BackendZram,
 		Zram: ZramConfig{
-			PoolBytes:    64 * units.PageSize,
-			BackingBytes: 32 * units.PageSize,
+			PoolBytes:      poolPages * units.PageSize,
+			BackingBytes:   backingPages * units.PageSize,
+			BackingProfile: UFSFlashProfile(),
 		},
 	}, seed)
 }
@@ -27,11 +27,10 @@ func zramUnderTest(seed uint64) *Zram {
 // against the zram backend while mirroring the stored-page set into a naive
 // map model (the TestEdgeArenaCrossCheck pattern), and simultaneously runs
 // a twin backend through the identical op sequence. The model pins the
-// accounting contract — UsedSlots equals the live page count, reads and
-// writes match the op history, a full-reject implies zero free slots, reads
-// of stored pages never miss — and the twin pins determinism: every
-// returned duration, error and counter must be bitwise equal across the
-// two instances.
+// accounting contract — UsedSlots equals the live page count, a
+// full-reject implies zero free slots, reads of stored pages never miss —
+// and the twin pins determinism: every returned duration, error and
+// counter must be bitwise equal across the two instances.
 func TestZramCrossCheck(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		runZramCrossCheck(t, seed)
@@ -40,8 +39,12 @@ func TestZramCrossCheck(t *testing.T) {
 
 func runZramCrossCheck(t *testing.T, seed uint64) {
 	r := xrand.New(seed)
-	z := zramUnderTest(seed)
-	twin := zramUnderTest(seed)
+	// A small backend (64-page pool, 32-slot backing flash), so the random
+	// workload reaches every route quickly: pool stores, incompressible
+	// fallthrough, hotness-aware writeback, flash spill and ErrSwapFull
+	// rejection.
+	z := newTestZram(64, 32, seed)
+	twin := newTestZram(64, 32, seed)
 
 	// The candidate page set: three owners, enough pages to overflow the
 	// pool twice over. Twin pages live in separate spaces with the same
@@ -64,7 +67,6 @@ func runZramCrossCheck(t *testing.T, seed uint64) {
 	stored := map[*mem.Page]bool{} // the golden model: pages the backend holds
 	var storedList []*mem.Page
 	var reserved int64
-	var wantReads, wantWrites int64
 
 	syncList := func() {
 		kept := storedList[:0]
@@ -80,10 +82,6 @@ func runZramCrossCheck(t *testing.T, seed uint64) {
 		t.Helper()
 		if got, want := z.UsedSlots(), int64(len(stored)); got != want {
 			t.Fatalf("seed %d step %d: UsedSlots %d, model holds %d", seed, step, got, want)
-		}
-		if z.Reads() != wantReads || z.Writes() != wantWrites {
-			t.Fatalf("seed %d step %d: reads/writes (%d,%d), model (%d,%d)",
-				seed, step, z.Reads(), z.Writes(), wantReads, wantWrites)
 		}
 		if z.FreeSlots() < 0 {
 			t.Fatalf("seed %d step %d: negative FreeSlots %d", seed, step, z.FreeSlots())
@@ -108,8 +106,8 @@ func runZramCrossCheck(t *testing.T, seed uint64) {
 			if stored[s.page] {
 				continue
 			}
-			dur, err := z.WritePage(s.page)
-			tdur, terr := twin.WritePage(s.twinPage)
+			dur, err := z.WritePage(s.page, FaultState{})
+			tdur, terr := twin.WritePage(s.twinPage, FaultState{})
 			if dur != tdur || err != terr {
 				t.Fatalf("seed %d step %d: twin write diverged: (%v,%v) vs (%v,%v)",
 					seed, step, dur, err, tdur, terr)
@@ -118,11 +116,9 @@ func runZramCrossCheck(t *testing.T, seed uint64) {
 			case nil:
 				stored[s.page] = true
 				storedList = append(storedList, s.page)
-				wantWrites++
 			case ErrSwapFull:
-				// CanWrite is only a fast-path hint (writeback may consume
-				// the backing slot it saw), but a rejection must mean the
-				// device is genuinely out of room right now.
+				// A rejection must mean the device is genuinely out of
+				// room right now.
 				if z.FreeSlots() != 0 {
 					t.Fatalf("seed %d step %d: WritePage rejected full with %d free slots",
 						seed, step, z.FreeSlots())
@@ -147,17 +143,8 @@ func runZramCrossCheck(t *testing.T, seed uint64) {
 				}
 			}
 			seqRead := r.Bool(0.3)
-			var dur, tdur int64
-			var err, terr error
-			if seqRead {
-				d1, e1 := z.ReadPageSequential(p)
-				d2, e2 := twin.ReadPageSequential(tp)
-				dur, tdur, err, terr = int64(d1), int64(d2), e1, e2
-			} else {
-				d1, e1 := z.ReadPage(p)
-				d2, e2 := twin.ReadPage(tp)
-				dur, tdur, err, terr = int64(d1), int64(d2), e1, e2
-			}
+			dur, err := z.ReadPage(p, FaultState{}, seqRead)
+			tdur, terr := twin.ReadPage(tp, FaultState{}, seqRead)
 			if dur != tdur || err != terr {
 				t.Fatalf("seed %d step %d: twin read diverged: (%v,%v) vs (%v,%v)",
 					seed, step, dur, err, tdur, terr)
@@ -166,7 +153,6 @@ func runZramCrossCheck(t *testing.T, seed uint64) {
 				t.Fatalf("seed %d step %d: read of stored page failed: %v", seed, step, err)
 			}
 			delete(stored, p)
-			wantReads++
 		case op == 8: // discard a stored page, or probe a missing one
 			s := pages[r.Intn(len(pages))]
 			err := z.Discard(s.page)
