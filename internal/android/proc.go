@@ -69,6 +69,24 @@ func (p *Proc) Name() string { return p.App.Name }
 // drives lmkd victim selection.
 func (p *Proc) LastForeground() time.Duration { return p.lastFg }
 
+// retire drops what a dead process holds in host memory and returns its
+// heap's tables for the next launch to hand on. It keeps the Profile, the
+// lifecycle fields, both address spaces (vmem still serves their page
+// tables) and the policy counters, such as Fleet's swap fallbacks; the
+// heap's regions, roots and scratch, the app's pools and random stream,
+// the remembered set and the policies' per-object tables go to the Go
+// collector.
+func (p *Proc) retire() heap.Tables {
+	p.RS = nil
+	if p.Fleet != nil {
+		p.Fleet.Retire()
+	}
+	if p.Marvin != nil {
+		p.Marvin.Retire()
+	}
+	return p.App.Retire()
+}
+
 // wirePolicy installs the policy's hooks into the heap, resolved through
 // the policy registry.
 func (p *Proc) wirePolicy() {

@@ -35,6 +35,9 @@ type System struct {
 	procs    []*Proc
 	fg       *Proc
 	reclaims int64
+	// killed lists the processes killed since the previous launch, which
+	// retires them (see Launch).
+	killed []*Proc
 
 	// stall is the sliding window of the one stall monitor NewSystem
 	// starts (psiTick or swamTick); each monitor keeps its own cooldown.
@@ -139,10 +142,13 @@ func NewSystem(cfg SystemConfig) *System {
 	return s
 }
 
-// CheckInvariants cross-validates heap-region accounting against the page
-// table, the LRU lists and the swap device across every process (plus the
-// injector's own storm space). Violations are recorded in Metrics and
-// returned; an empty slice means the layers agree.
+// CheckInvariants cross-validates the page tables of every process's
+// address spaces (plus the injector's own storm space) against frame, slot
+// and LRU accounting, and each live process's heap-region accounting
+// against its object table. Dead processes keep their address spaces in
+// the sweep, since a process killed mid-GC can still own pages, but not
+// their heaps, which Launch retires. Violations are recorded in Metrics
+// and returned; an empty slice means the layers agree.
 func (s *System) CheckInvariants() []string {
 	s.M.InvariantChecks++
 	s.SyncVMStats()
@@ -150,7 +156,9 @@ func (s *System) CheckInvariants() []string {
 	heaps := make([]*heap.Heap, 0, len(s.procs))
 	for _, p := range s.procs {
 		spaces = append(spaces, p.App.H.AS, p.App.NativeAS)
-		heaps = append(heaps, p.App.H)
+		if p.alive {
+			heaps = append(heaps, p.App.H)
+		}
 	}
 	if s.Injector != nil {
 		spaces = append(spaces, s.Injector.Spaces()...)
@@ -251,7 +259,10 @@ func (s *System) EnableTrace() *trace.Log {
 	return s.Trace
 }
 
-// Procs returns all processes ever launched (including dead ones).
+// Procs returns all processes ever launched, in launch order, including
+// dead ones. A process killed before the latest Launch is retired: it
+// keeps its name, lifecycle state, address spaces and policy counters, but
+// its heap holds no object table.
 func (s *System) Procs() []*Proc { return s.procs }
 
 // Foreground returns the current foreground process (nil at boot).
@@ -313,6 +324,7 @@ func (s *System) Kill(p *Proc) {
 	p.state = StateDead
 	p.bgSeq++
 	p.App.ReleaseAll()
+	s.killed = append(s.killed, p)
 	s.M.Kills++
 	if s.fg == p {
 		s.fg = nil
@@ -325,12 +337,27 @@ const fgHeapGrowth = 2.0
 
 // Launch cold-starts an app and brings it to the foreground. The previous
 // foreground app is cached.
+//
+// Launch first retires every process killed since the previous launch.
+// It does not do so in Kill: lmkd can kill the very app whose background
+// GC asked for the frame, and that GC finishes on the dead heap. The
+// object tables of the largest retired heap are the one spare the new
+// app's heap adopts; the rest go to the Go collector.
 func (s *System) Launch(profile apps.Profile) *Proc {
+	var spare heap.Tables
+	for _, d := range s.killed {
+		if t := d.retire(); t.Cap() > spare.Cap() {
+			spare = t
+		}
+	}
+	s.killed = s.killed[:0]
+
 	now := s.Clock.Now()
 	if s.fg != nil {
 		s.toBackground(s.fg)
 	}
 	app := apps.NewApp(profile, s.rng.Fork(uint64(len(s.procs))+7), s.VM)
+	app.H.Adopt(spare)
 	p := &Proc{sys: s, App: app, alive: true, state: StateForeground}
 	p.Ctrl = gc.NewController(fgHeapGrowth)
 	p.wirePolicy()

@@ -131,6 +131,74 @@ func TestBackgroundTicksStopAfterDeath(t *testing.T) {
 	sys.Use(10 * time.Second)
 }
 
+// TestDeadProcessKeepsNoHeap runs a kill-heavy session, then one more
+// Launch. Every process killed before that launch must be retired: its
+// heap holds no object table and its app no pools, while everything the
+// system still reads of it (name, lifecycle, footprint) is unchanged, and
+// switching to it relaunches it cold. The new app's heap must have adopted
+// the largest retired heap's tables.
+func TestDeadProcessKeepsNoHeap(t *testing.T) {
+	const scale = 64
+	cfg := DefaultSystemConfig(PolicyAndroid, scale)
+	cfg.Device = Pixel3Zram(scale)
+	sys := NewSystem(cfg)
+	profiles := apps.CommercialProfiles(scale)
+	for _, pr := range profiles {
+		sys.Launch(pr)
+		sys.Use(3 * time.Second)
+	}
+
+	type view struct {
+		name      string
+		state     ProcState
+		alive     bool
+		lastFg    time.Duration
+		footprint int64
+	}
+	look := func(p *Proc) view {
+		return view{p.Name(), p.State(), p.Alive(), p.LastForeground(), p.App.FootprintBytes()}
+	}
+	before := map[*Proc]view{}
+	var dead []*Proc
+	largest := 0
+	for _, p := range sys.Procs() {
+		if !p.Alive() {
+			dead = append(dead, p)
+			before[p] = look(p)
+			largest = max(largest, p.App.H.TableCap())
+		}
+	}
+	if len(dead) < 2 || largest == 0 {
+		t.Fatalf("session left %d dead processes, largest unretired table %d: the test needs kills since the last launch",
+			len(dead), largest)
+	}
+
+	np := sys.Launch(testProfile("Z"))
+	for _, p := range dead {
+		if n := p.App.H.ObjectTableSize(); n != 0 {
+			t.Errorf("%s: dead heap keeps an object table of %d entries", p.Name(), n)
+		}
+		if len(p.App.Views()) != 0 || p.App.R != nil {
+			t.Errorf("%s: dead app keeps %d views (random stream kept: %v)", p.Name(), len(p.App.Views()), p.App.R != nil)
+		}
+		if got := look(p); got != before[p] {
+			t.Errorf("%s: retiring changed what the system reads: %+v, was %+v", p.Name(), got, before[p])
+		}
+	}
+	if got := np.App.H.TableCap(); got < largest {
+		t.Errorf("new heap's table capacity %d is below the largest retired heap's %d", got, largest)
+	}
+
+	victim := dead[0]
+	_, rp := sys.SwitchTo(victim)
+	if rp == victim || !rp.Alive() || rp.Name() != victim.Name() {
+		t.Fatalf("SwitchTo(%s) did not relaunch a fresh process", victim.Name())
+	}
+	if last := sys.M.Launches[len(sys.M.Launches)-1]; last.Hot || last.App != victim.Name() {
+		t.Errorf("relaunch of retired %s recorded as %+v, want a cold launch", victim.Name(), last)
+	}
+}
+
 func TestFleetLifecycleWiring(t *testing.T) {
 	cfg := DefaultSystemConfig(PolicyFleet, testScale)
 	sys := NewSystem(cfg)

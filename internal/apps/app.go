@@ -205,7 +205,7 @@ func (a *App) BuildInitial(now time.Duration) (time.Duration, error) {
 // TestBuildReserveCoversBuild pins all three.
 func buildReserve(p *Profile) (objects, edges, chains int) {
 	n := float64(p.JavaHeapBytes) / p.Sizes.Mean()
-	objects = int(n + 4*math.Sqrt(n) + 64)
+	objects = int(n + float64(4*math.Sqrt(n)) + 64)
 	return objects, objects * 9 / 4, objects / 3
 }
 
@@ -542,6 +542,18 @@ func (a *App) ResidentBytes() int64 {
 func (a *App) ReleaseAll() {
 	a.VM.ReleaseSpace(a.H.AS)
 	a.VM.ReleaseSpace(a.NativeAS)
+}
+
+// Retire drops what a dead app holds in host memory: its object pools,
+// its random stream, its allocation hook and, through Heap.Retire,
+// everything its heap holds but the address space and Stats. The Profile
+// and both address spaces stay. It returns the heap's tables for a new
+// app's heap to adopt. Nothing may run on a retired app again.
+func (a *App) Retire() heap.Tables {
+	a.R, a.OnAlloc = nil, nil
+	a.activities, a.views, a.chains = nil, nil, nil
+	a.recentNear, a.recentDeep, a.bgWS = nil, nil, nil
+	return a.H.Retire()
 }
 
 func (a *App) String() string {

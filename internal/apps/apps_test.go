@@ -299,6 +299,23 @@ func TestReleaseAllFreesEverything(t *testing.T) {
 	}
 }
 
+func TestRetireDropsPools(t *testing.T) {
+	a := buildApp(t, twitter())
+	a.ForegroundTick(time.Second, 100*time.Millisecond)
+	a.EnterBackground()
+	a.ReleaseAll()
+	if tables := a.Retire(); tables.Cap() == 0 {
+		t.Error("Retire handed on no tables")
+	}
+	if a.R != nil || a.OnAlloc != nil || a.activities != nil || a.views != nil || a.chains != nil ||
+		a.recentNear != nil || a.recentDeep != nil || a.bgWS != nil {
+		t.Error("retired app keeps its random stream, hook or pools")
+	}
+	if a.H.ObjectTableSize() != 0 || a.Name != "Twitter" {
+		t.Errorf("retired app %q keeps an object table of %d entries", a.Name, a.H.ObjectTableSize())
+	}
+}
+
 func TestOnAllocHookFires(t *testing.T) {
 	p := SyntheticProfile("s", 512, units.MiB)
 	a := NewApp(p, xrand.New(7), newVM())

@@ -57,7 +57,7 @@ func (l LogNormalSize) Sample(r *xrand.Rand) int32 {
 
 // Mean implements SizeDist: the unclamped lognormal mean
 // exp(Mu + Sigma²/2), 90.5 B for the commercial distribution.
-func (l LogNormalSize) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
+func (l LogNormalSize) Mean() float64 { return math.Exp(l.Mu + float64(l.Sigma*l.Sigma/2)) }
 
 // DefaultCommercialSizes is the Fig. 7-calibrated distribution: median
 // ≈ 48 B, ~99% below one page.

@@ -407,6 +407,13 @@ func (f *Fleet) FullFallbacks() int { return f.fullFallbacks }
 // because the swap device was offline.
 func (f *Fleet) SwapFallbacks() int { return f.swapFallbacks }
 
+// Retire drops a dead app's per-object classes, card table and region
+// sets, keeping the counters. Nothing may run on a retired Fleet again.
+func (f *Fleet) Retire() {
+	f.card, f.classes = nil, nil
+	f.launchRegions, f.wsRegions, f.coldRegions = nil, nil, nil
+}
+
 // LaunchRegions returns the current launch regions (hot-launch critical).
 func (f *Fleet) LaunchRegions() []*heap.Region { return f.launchRegions }
 

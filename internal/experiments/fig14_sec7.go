@@ -124,7 +124,7 @@ func Sec73(p Params) Sec73Result {
 		if ioDuty > 1 {
 			ioDuty = 1
 		}
-		power = basePowerMW + cpuPowerMW*cpuDuty + ioPowerMW*ioDuty
+		power = basePowerMW + float64(cpuPowerMW*cpuDuty) + float64(ioPowerMW*ioDuty)
 		return gcShare, power
 	}
 	res := Sec73Result{CardTableBytes: cardtable.DefaultTableBytes()}

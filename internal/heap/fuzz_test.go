@@ -70,14 +70,29 @@ func heapInvariants(t *testing.T, h *Heap) {
 
 // TestHeapRandomOps drives a random mix of allocations, reference edits,
 // accesses, chain drops and collections, asserting invariants throughout.
-// Each seed also runs with Grow called up front and mid-run, and must end
-// in exactly the un-grown run's state: reserved capacity is unobservable.
+// Each seed also runs with Grow called up front and mid-run, and on a heap
+// that first adopts the stale tables of a heap that ran another seed; each
+// must end in exactly the plain run's state: reserved capacity and adopted
+// memory are unobservable.
 func TestHeapRandomOps(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
-		want := runRandomOps(t, seed, -1)
-		sameHeap(t, want, runRandomOps(t, seed, 0))
-		sameHeap(t, want, runRandomOps(t, seed, 1500))
+		want := runRandomOps(t, seed, -1, Tables{})
+		sameHeap(t, want, runRandomOps(t, seed, 0, Tables{}))
+		sameHeap(t, want, runRandomOps(t, seed, 1500, Tables{}))
+		spare := staleTables(runRandomOps(t, seed+5, -1, Tables{}))
+		sameHeap(t, want, runRandomOps(t, seed, -1, spare))
 	}
+}
+
+// staleTables fills a heap's object table past any length the random
+// workloads reach (they create at most a few thousand ObjectIDs) and
+// retires it, so a heap that adopts the result finds stale records,
+// spans and arena slots beyond every length it uses.
+func staleTables(h *Heap) Tables {
+	for i := 0; i < growOps; i++ {
+		h.Alloc(16, EpochForeground, 0)
+	}
+	return h.Retire()
 }
 
 // growOps is how much a grown run reserves at its growth step. It covers
@@ -85,14 +100,15 @@ func TestHeapRandomOps(t *testing.T) {
 // outgrows it, so those runs also grow past their reservation.
 const growOps = 4096
 
-// runRandomOps runs TestHeapRandomOps' workload for one seed, calling
-// Grow(growOps, growOps) before step growAt (never when growAt < 0), and
-// returns the heap.
-func runRandomOps(t *testing.T, seed uint64, growAt int) *Heap {
+// runRandomOps runs TestHeapRandomOps' workload for one seed on a heap
+// that first adopts spare, calling Grow(growOps, growOps) before step
+// growAt (never when growAt < 0), and returns the heap.
+func runRandomOps(t *testing.T, seed uint64, growAt int, spare Tables) *Heap {
 	r := xrand.New(seed)
 	phys := mem.NewPhysical(128 * units.MiB)
 	vm := vmem.NewManager(phys, vmem.NewSwapDevice(vmem.DefaultSwapConfig()))
 	h := New(mem.NewAddressSpace("fuzz"), vm)
+	h.Adopt(spare)
 	if growAt == 0 {
 		h.Grow(growOps, growOps)
 	}
@@ -156,9 +172,14 @@ func runRandomOps(t *testing.T, seed uint64, growAt int) *Heap {
 // sameHeap fails the test unless got holds exactly want's state: every
 // hot and cold record, every slot's edge capacity and Refs view, the edge
 // arena itself, the root list, the mark generation and Stats. Capacity is
-// the only thing allowed to differ.
+// the only thing allowed to differ, and got's tables must read zero past
+// their lengths, as fresh memory does.
 func sameHeap(t *testing.T, want, got *Heap) {
 	t.Helper()
+	zeroTail(t, "hot", got.hot)
+	zeroTail(t, "cold", got.cold)
+	zeroTail(t, "ecap", got.ecap)
+	zeroTail(t, "edges", got.edges)
 	if !slices.Equal(want.hot, got.hot) || want.markGen != got.markGen {
 		t.Fatal("hot records differ")
 	}
@@ -179,6 +200,19 @@ func sameHeap(t *testing.T, want, got *Heap) {
 	}
 	if want.Stats() != got.Stats() {
 		t.Fatalf("stats differ: %+v vs %+v", want.Stats(), got.Stats())
+	}
+}
+
+// zeroTail fails the test unless every entry of s between its length and
+// its capacity is zero: growTables and extendArena expose those entries
+// without writing them.
+func zeroTail[E comparable](t *testing.T, table string, s []E) {
+	t.Helper()
+	var zero E
+	for i, e := range s[len(s):cap(s)] {
+		if e != zero {
+			t.Fatalf("%s[%d], past length %d, holds %v", table, len(s)+i, len(s), e)
+		}
 	}
 }
 
@@ -262,23 +296,27 @@ func collectForFuzz(h *Heap, now time.Duration) {
 // exercises exactly what the CSR arena must get right: append growth
 // (in-place and relocating), set-with-gap-fill, clears, span reuse by the
 // recycled ObjectID's next tenant, compaction, and views read after the
-// arena's backing array moves.
+// arena's backing array moves. Like TestHeapRandomOps, each seed also runs
+// grown and on adopted stale tables.
 func TestEdgeArenaCrossCheck(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
-		want := runEdgeCrossCheck(t, seed, -1)
-		sameHeap(t, want, runEdgeCrossCheck(t, seed, 0))
-		sameHeap(t, want, runEdgeCrossCheck(t, seed, 2000))
+		want := runEdgeCrossCheck(t, seed, -1, Tables{})
+		sameHeap(t, want, runEdgeCrossCheck(t, seed, 0, Tables{}))
+		sameHeap(t, want, runEdgeCrossCheck(t, seed, 2000, Tables{}))
+		spare := staleTables(runEdgeCrossCheck(t, seed+3, -1, Tables{}))
+		sameHeap(t, want, runEdgeCrossCheck(t, seed, -1, spare))
 	}
 }
 
-// runEdgeCrossCheck runs TestEdgeArenaCrossCheck's workload for one seed,
-// calling Grow(growOps, growOps) before step growAt (never when
-// growAt < 0), and returns the heap.
-func runEdgeCrossCheck(t *testing.T, seed uint64, growAt int) *Heap {
+// runEdgeCrossCheck runs TestEdgeArenaCrossCheck's workload for one seed
+// on a heap that first adopts spare, calling Grow(growOps, growOps) before
+// step growAt (never when growAt < 0), and returns the heap.
+func runEdgeCrossCheck(t *testing.T, seed uint64, growAt int, spare Tables) *Heap {
 	r := xrand.New(seed)
 	phys := mem.NewPhysical(128 * units.MiB)
 	vm := vmem.NewManager(phys, vmem.NewSwapDevice(vmem.DefaultSwapConfig()))
 	h := New(mem.NewAddressSpace("edges"), vm)
+	h.Adopt(spare)
 	if growAt == 0 {
 		h.Grow(growOps, growOps)
 	}

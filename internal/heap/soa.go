@@ -123,15 +123,68 @@ func (h *Heap) growTables() {
 // array; no length, ObjectID, span or other value a caller can read
 // changes. Like any allocation, it invalidates Refs views and SoA views.
 //
-// Capacity stays unobservable because the new arrays come from the
-// runtime zeroed: growTables' reslice path exposes entries past len
-// without storing to them, so an entry left over from earlier use would
-// hand a new object a stale span. Never hand these tables reused memory.
+// Capacity stays unobservable because every entry past len reads zero:
+// growTables' reslice path and extendArena expose such entries without
+// storing to them, so an entry left over from earlier use would hand a
+// new object a stale span. Fresh arrays come from the runtime zeroed;
+// reused memory must be cleared first, as Adopt does.
 func (h *Heap) Grow(objects, edges int) {
 	h.hot = slices.Grow(h.hot, objects)
 	h.cold = slices.Grow(h.cold, objects)
 	h.ecap = slices.Grow(h.ecap, objects)
 	h.edges = slices.Grow(h.edges, edges)
+}
+
+// Tables is the storage behind a heap's object tables and edge arena,
+// detached by Retire so that a new heap can Adopt it instead of
+// allocating its own.
+type Tables struct {
+	hot   []HotRecord
+	cold  []coldRecord
+	ecap  []int32
+	edges []ObjectID
+}
+
+// Cap returns how many object-table entries t has room for.
+func (t Tables) Cap() int { return cap(t.hot) }
+
+// TableCap returns how many object-table entries the heap has room for
+// before its tables regrow.
+func (h *Heap) TableCap() int { return cap(h.hot) }
+
+// Retire detaches the object tables and edge arena of a heap whose
+// process is dead, and drops everything else it holds in host memory:
+// regions, roots, free lists, trace and evacuation scratch, and barriers.
+// The address space and Stats stay. A retired heap answers only AS,
+// Stats and the queries built on them; nothing may allocate, trace or
+// collect on it again.
+func (h *Heap) Retire() Tables {
+	t := Tables{hot: h.hot, cold: h.cold, ecap: h.ecap, edges: h.edges}
+	*h = Heap{AS: h.AS, VM: h.VM, stats: h.stats}
+	return t
+}
+
+// Adopt moves the heap's object tables and edge arena into t's storage
+// when t has room for more object-table entries than the heap's own
+// tables, and otherwise leaves the heap as it is. It clears all four of
+// t's arrays to their full capacity before copying the heap's entries in,
+// so the reused memory reads exactly like the zeroed memory Grow would
+// allocate: no length, ObjectID, span or other readable value changes.
+// t must come from Retire and be adopted at most once.
+func (h *Heap) Adopt(t Tables) {
+	if t.Cap() <= cap(h.hot) {
+		return
+	}
+	h.hot = append(clearAll(t.hot), h.hot...)
+	h.cold = append(clearAll(t.cold), h.cold...)
+	h.ecap = append(clearAll(t.ecap), h.ecap...)
+	h.edges = append(clearAll(t.edges), h.edges...)
+}
+
+// clearAll zeroes s up to its capacity and returns it with length 0.
+func clearAll[E any](s []E) []E {
+	clear(s[:cap(s)])
+	return s[:0]
 }
 
 // Refs returns id's outgoing references as a read-only view of its span

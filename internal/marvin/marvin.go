@@ -202,6 +202,10 @@ func (m *Marvin) IsBookmarked(id heap.ObjectID) bool {
 	return int(id) < len(m.bookmarked) && m.bookmarked[id]
 }
 
+// Retire drops a dead app's per-object bookmark table, keeping the
+// counters. Nothing may run on a retired Marvin again.
+func (m *Marvin) Retire() { m.bookmarked = nil }
+
 // RunGC is Marvin's bookmarking collection: a full trace that consults
 // stubs for swapped objects (never faulting them), followed by a compacting
 // evacuation of the resident heap. Swap regions are collected in place:

@@ -75,14 +75,14 @@ func (s *Sample) Percentile(p float64) float64 {
 	if p >= 100 {
 		return s.xs[len(s.xs)-1]
 	}
-	rank := p / 100 * float64(len(s.xs)-1)
+	rank := float64(p / 100 * float64(len(s.xs)-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return s.xs[lo]
 	}
 	frac := rank - float64(lo)
-	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
+	return float64(s.xs[lo]*(1-frac)) + float64(s.xs[hi]*frac)
 }
 
 // Median returns the 50th percentile.
@@ -110,7 +110,7 @@ func (s *Sample) StdDev() float64 {
 	var ss float64
 	for _, x := range s.xs {
 		d := x - m
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return math.Sqrt(ss / float64(n-1))
 }
@@ -166,9 +166,9 @@ func Pearson(xs, ys []float64) float64 {
 	var sxy, sxx, syy float64
 	for i := 0; i < n; i++ {
 		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
+		sxy += float64(dx * dy)
+		sxx += float64(dx * dx)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 || syy == 0 {
 		return 0

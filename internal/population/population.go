@@ -292,7 +292,7 @@ const deviceSalt = 0x70706c6e5f763165 // "ppln_v1e"
 // with long cached gaps — which is exactly when background GC and
 // grouped swap-out run.
 func diurnalWeight(hour float64) float64 {
-	return 0.25 + 0.75*(1+math.Cos(2*math.Pi*(hour-20)/24))/2
+	return 0.25 + float64(0.75*(1+math.Cos(2*math.Pi*(hour-20)/24))/2)
 }
 
 // ExpandDevice deterministically expands fleet member i: a pure function
@@ -346,11 +346,11 @@ func (s Spec) ExpandDevice(i, nApps int) Device {
 	// busier pickups; night pickups are brief with long cached gaps.
 	// Session app choice is zipf over the install order (the most popular
 	// installs also get the most sessions).
-	phase := rng.Float64() * 24
+	phase := float64(rng.Float64() * 24)
 	for k := 0; k < s.Sessions; {
 		hour := math.Mod(phase+float64(k)*24/float64(s.Sessions), 24)
 		w := diurnalWeight(hour)
-		burst := 1 + rng.Intn(1+int(3*w+0.5))
+		burst := 1 + rng.Intn(1+int(float64(3*w)+0.5))
 		if burst > s.Sessions-k {
 			burst = s.Sessions - k
 		}
@@ -363,10 +363,10 @@ func (s Spec) ExpandDevice(i, nApps int) Device {
 			}
 			ses := Session{
 				App: app,
-				Fg:  time.Duration((2 + 8*w*rng.Float64()) * float64(time.Second)),
+				Fg:  time.Duration((2 + float64(8*w*rng.Float64())) * float64(time.Second)),
 			}
 			if j == burst-1 {
-				ses.Gap = time.Duration((6 + 24*(1-w)*rng.Float64()) * float64(time.Second))
+				ses.Gap = time.Duration((6 + float64(24*(1-w)*rng.Float64())) * float64(time.Second))
 			}
 			d.Plan = append(d.Plan, ses)
 			k++

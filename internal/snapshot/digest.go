@@ -258,20 +258,25 @@ type SystemDigest struct {
 	// At is the virtual time the sample was taken.
 	At time.Duration
 	// VMem, Heap and Android are the subsystem digests. Heap folds every
-	// process's heap in launch order.
+	// live process's heap in launch order.
 	VMem    Digest
 	Heap    Digest
 	Android Digest
 }
 
-// Capture samples all three subsystem digests of a system right now.
+// Capture samples all three subsystem digests of a system right now. The
+// vmem digest covers every process's address spaces, dead ones included
+// (a process killed mid-GC can still own pages); the heap digest folds
+// live processes only, since Launch retires a dead process's heap.
 func Capture(sys *android.System) SystemDigest {
 	procs := sys.Procs()
 	spaces := make([]*mem.AddressSpace, 0, 2*len(procs)+1)
 	hh := NewHasher()
 	for _, p := range procs {
 		spaces = append(spaces, p.App.H.AS, p.App.NativeAS)
-		hh.Fold(HeapDigest(p.App.H))
+		if p.Alive() {
+			hh.Fold(HeapDigest(p.App.H))
+		}
 	}
 	if sys.Injector != nil {
 		spaces = append(spaces, sys.Injector.Spaces()...)

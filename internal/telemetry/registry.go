@@ -122,7 +122,7 @@ func (h *Histogram) ObserveN(x float64, n int64) {
 	h.count.Add(n)
 	for {
 		old := h.sum.Load()
-		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+x*float64(n))) {
+		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+float64(x*float64(n)))) {
 			return
 		}
 	}

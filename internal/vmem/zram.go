@@ -103,7 +103,7 @@ func (z *Zram) csizeOf(p *mem.Page) int64 {
 	}
 	mix(uint64(p.Index))
 	u := float64(h>>11) / (1 << 53)
-	frac := 0.05 + 0.85*u*u
+	frac := 0.05 + float64(0.85*u*u)
 	return int64(frac * float64(units.PageSize))
 }
 

@@ -94,9 +94,10 @@ func (r *Rand) Int63n(n int64) int64 {
 	return int64(r.Uint64() % uint64(n))
 }
 
-// Float64 returns a uniform float64 in [0, 1).
+// Float64 returns a uniform float64 in [0, 1). The outer conversion
+// keeps the compiler from fusing the scaling into a caller's add.
 func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Bool returns true with probability p.
@@ -107,7 +108,7 @@ func (r *Rand) NormFloat64() float64 {
 	for {
 		u := 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}
@@ -116,7 +117,7 @@ func (r *Rand) NormFloat64() float64 {
 
 // LogNormal returns exp(N(mu, sigma)); used for object-size distributions.
 func (r *Rand) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.NormFloat64())
+	return math.Exp(mu + float64(sigma*r.NormFloat64()))
 }
 
 // Exp returns an exponential variate with the given mean.
@@ -145,7 +146,7 @@ func (r *Rand) Zipf(n int, s float64) int {
 	hx0 := t.entry(0, oneMinusQ, oneMinusQInv).h - 1
 	hn := t.entry(n, oneMinusQ, oneMinusQInv).h
 	for {
-		u := hn + r.Float64()*(hx0-hn)
+		u := hn + float64(r.Float64()*(hx0-hn))
 		x := helperHInv(u, oneMinusQ, oneMinusQInv)
 		k := math.Floor(x + 0.5)
 		if k < 0 {
