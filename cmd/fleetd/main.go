@@ -197,6 +197,6 @@ func debugMux(reg *telemetry.Registry) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/metrics", reg.Handler())
+	mux.Handle("/metrics", service.MetricsHandler(reg))
 	return mux
 }

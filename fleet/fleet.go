@@ -25,8 +25,8 @@
 //   - experiments.go — the paper's tables and figures as pure runners,
 //     the shared experiment registry, and the parallel fan-out knobs.
 //   - faults.go — deterministic fault injection and the chaos harness.
-//   - service.go — supervision, checkpointing, and the fleetd daemon
-//     core (jobs, queue, journal).
+//   - service.go — supervision and checkpointing (supervised fan-out,
+//     campaigns, the checkpoint journal).
 //
 // # Quick start
 //

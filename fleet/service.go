@@ -1,12 +1,11 @@
 // Running simulations as managed work: the supervised fan-out primitive,
-// the campaign that checkpoints and interrupts it, the crash-tolerant
-// checkpoint journal, and the fleetd daemon core (bounded job queue,
-// worker pool, durable resume).
+// the campaign that checkpoints and interrupts it, and the crash-tolerant
+// checkpoint journal. The fleetd daemon core is internal/service; cmd/fleetd
+// serves it.
 package fleet
 
 import (
 	"fleetsim/internal/runner"
-	"fleetsim/internal/service"
 	"fleetsim/internal/snapshot"
 )
 
@@ -40,27 +39,3 @@ type CheckpointStore = snapshot.Store
 func OpenCheckpoint(path, campaign string) (*CheckpointStore, error) {
 	return snapshot.Open(path, campaign)
 }
-
-// JobSpec is a fleetd job description: which experiments to run and which
-// parameters to override.
-type JobSpec = service.JobSpec
-
-// JobView is the exported snapshot of one fleetd job.
-type JobView = service.JobView
-
-// JobStatus is a job's lifecycle state (queued, running, done, failed,
-// cancelled).
-type JobStatus = service.Status
-
-// ServiceConfig sizes and parameterizes a Service (workers, queue bound,
-// journal path, telemetry registry).
-type ServiceConfig = service.Config
-
-// Service is the fleetd daemon core: a bounded job queue over a
-// supervised worker pool with a durable journal. Serve its HTTP API with
-// Handler, or drive it directly via Submit/Job/Watch/Cancel.
-type Service = service.Service
-
-// NewService builds a Service, replays its journal (when configured) and
-// starts the worker pool.
-func NewService(cfg ServiceConfig) (*Service, error) { return service.New(cfg) }

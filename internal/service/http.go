@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"fleetsim/internal/buildinfo"
+	"fleetsim/internal/telemetry"
 )
 
 // Health is the /v1/healthz response body.
@@ -115,8 +116,19 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	mux.Handle("GET /metrics", s.cfg.Telemetry.Handler())
+	mux.Handle("GET /metrics", MetricsHandler(s.cfg.Telemetry))
 	return mux
+}
+
+// MetricsHandler serves reg in Prometheus text format. It is the one HTTP
+// adapter for a telemetry registry, kept here so that a simulation, which
+// imports telemetry, links no net/http: the service mounts it on
+// GET /metrics and fleetd's debug listener mirrors it.
+func MetricsHandler(reg *telemetry.Registry) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		reg.WritePrometheus(w)
+	})
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

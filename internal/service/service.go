@@ -896,9 +896,11 @@ func (s *Service) runJob(j *job) {
 		}
 		if s.draining && j.done < len(j.cells) {
 			// Drain checkpoint: the finished cells are journaled; hand the
-			// job back to the queue state for the next daemon.
+			// job back to the queue for the next daemon. Workers stop once
+			// stopping is set, so nothing here runs it again.
 			j.status = StatusQueued
 			s.running--
+			s.sched.push(j)
 			s.emitLocked(j, Event{Phase: "checkpointed", Cell: j.done, Cells: len(j.cells)})
 			s.mu.Unlock()
 			return

@@ -368,6 +368,46 @@ func TestDrainStopsAdmissionAndCheckpoints(t *testing.T) {
 	}
 }
 
+// TestDrainRequeuesCheckpointedJob pins where a job that Drain
+// checkpoints between cells goes: back on the queue, with a queue
+// position, so Stats still counts every submitted job somewhere.
+func TestDrainRequeuesCheckpointedJob(t *testing.T) {
+	var s *Service
+	// The first cell starts before Drain and returns only once Drain has
+	// begun, so the job always reaches its next cell boundary draining.
+	started := make(chan struct{})
+	untilDraining := func(experiments.Params) string {
+		close(started)
+		for !s.Draining() {
+			time.Sleep(time.Millisecond)
+		}
+		return "drained-output\n"
+	}
+	s, err := New(Config{
+		Workers: 1,
+		Lookup:  fakeLookup(map[string]func(experiments.Params) string{"wait": untilDraining, "a": instant("A")}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := s.Submit(JobSpec{Experiments: []string{"wait", "a"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	s.Drain()
+
+	v, _ := s.Job(j.ID)
+	if v.Status != StatusQueued || v.CellsDone != 1 || v.QueuePos != 1 {
+		t.Fatalf("after drain: status=%s cellsDone=%d queuePos=%d, want queued 1/2 at position 1",
+			v.Status, v.CellsDone, v.QueuePos)
+	}
+	st := s.Stats()
+	if st.Completed+st.Failed+st.Cancelled+st.QueueDepth != st.Submitted || st.Running != 0 {
+		t.Fatalf("stats after drain = %+v: every submitted job must be finished or queued", st)
+	}
+}
+
 // TestKillRestartBitwiseIdentical is the acceptance check: a daemon killed
 // mid-campaign and restarted over the same journal must produce results
 // byte-identical (and digest-identical) to an uninterrupted daemon.

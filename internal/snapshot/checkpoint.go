@@ -74,7 +74,9 @@ const (
 	maxRecordSize   = 1 << 24 // 16 MiB sanity bound on one record
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+// crcTable builds the Castagnoli table on first journal use, so a program
+// that never opens a journal does not build it at init.
+var crcTable = sync.OnceValue(func() *crc32.Table { return crc32.MakeTable(crc32.Castagnoli) })
 
 // ErrJournalFailed marks a Store whose journal stopped accepting durable
 // appends (failed fsync, ENOSPC, fencing). Match with errors.Is.
@@ -117,8 +119,9 @@ type journalLine struct {
 func appendFrame(buf []byte, payload []byte) []byte {
 	var hdr [frameHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	crc := crc32.Update(0, crcTable, hdr[0:4])
-	crc = crc32.Update(crc, crcTable, payload)
+	tab := crcTable()
+	crc := crc32.Update(0, tab, hdr[0:4])
+	crc = crc32.Update(crc, tab, payload)
 	binary.LittleEndian.PutUint32(hdr[4:8], crc)
 	buf = append(buf, hdr[:]...)
 	return append(buf, payload...)
@@ -129,6 +132,7 @@ func appendFrame(buf []byte, payload []byte) []byte {
 // to data) where decoding stopped and the tail reason ("" when data was
 // consumed exactly).
 func parseFrames(data []byte, fn func(payload []byte) bool) (off int64, reason string) {
+	tab := crcTable()
 	for int(off) < len(data) {
 		rest := data[off:]
 		if len(rest) < frameHeaderSize {
@@ -142,8 +146,8 @@ func parseFrames(data []byte, fn func(payload []byte) bool) (off int64, reason s
 			return off, TailTorn
 		}
 		payload := rest[frameHeaderSize : frameHeaderSize+int(n)]
-		crc := crc32.Update(0, crcTable, rest[0:4])
-		crc = crc32.Update(crc, crcTable, payload)
+		crc := crc32.Update(0, tab, rest[0:4])
+		crc = crc32.Update(crc, tab, payload)
 		if crc != binary.LittleEndian.Uint32(rest[4:8]) {
 			return off, TailCorrupt
 		}

@@ -8,7 +8,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -100,13 +99,4 @@ func writeBucket(b *strings.Builder, name, labels, le string, cum int64) {
 	b.WriteByte(' ')
 	b.WriteString(strconv.FormatInt(cum, 10))
 	b.WriteByte('\n')
-}
-
-// Handler serves the registry in Prometheus text format — mount it on
-// GET /metrics.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		r.WritePrometheus(w)
-	})
 }
