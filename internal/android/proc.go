@@ -71,11 +71,13 @@ func (p *Proc) LastForeground() time.Duration { return p.lastFg }
 
 // retire drops what a dead process holds in host memory and returns its
 // heap's tables for the next launch to hand on. It keeps the Profile, the
-// lifecycle fields, both address spaces (vmem still serves their page
-// tables) and the policy counters, such as Fleet's swap fallbacks; the
-// heap's regions, roots and scratch, the app's pools and random stream,
-// the remembered set and the policies' per-object tables go to the Go
-// collector.
+// lifecycle fields, both address spaces with their counters and the policy
+// counters, such as Fleet's swap fallbacks; the heap's regions, roots and
+// scratch, the app's pools and random stream, the remembered set and the
+// policies' per-object tables go to the Go collector, and so do the page
+// records of each space that holds no page. A space that still holds pages
+// (a Marvin GC that outlived its app's kill pinned them) keeps its records,
+// so the invariant sweep still counts them.
 func (p *Proc) retire() heap.Tables {
 	p.RS = nil
 	if p.Fleet != nil {
@@ -84,6 +86,8 @@ func (p *Proc) retire() heap.Tables {
 	if p.Marvin != nil {
 		p.Marvin.Retire()
 	}
+	p.App.H.AS.DropPages()
+	p.App.NativeAS.DropPages()
 	return p.App.Retire()
 }
 

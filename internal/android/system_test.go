@@ -8,6 +8,7 @@ import (
 
 	"fleetsim/internal/apps"
 	"fleetsim/internal/core"
+	"fleetsim/internal/mem"
 	"fleetsim/internal/trace"
 	"fleetsim/internal/units"
 	"fleetsim/internal/vmem"
@@ -133,10 +134,11 @@ func TestBackgroundTicksStopAfterDeath(t *testing.T) {
 
 // TestDeadProcessKeepsNoHeap runs a kill-heavy session, then one more
 // Launch. Every process killed before that launch must be retired: its
-// heap holds no object table and its app no pools, while everything the
-// system still reads of it (name, lifecycle, footprint) is unchanged, and
-// switching to it relaunches it cold. The new app's heap must have adopted
-// the largest retired heap's tables.
+// heap holds no object table, its app no pools and its empty address
+// spaces no page record, while everything the system still reads of it
+// (name, lifecycle, footprint) is unchanged, the invariant sweep passes,
+// and switching to it relaunches it cold. The new app's heap must have
+// adopted the largest retired heap's tables.
 func TestDeadProcessKeepsNoHeap(t *testing.T) {
 	const scale = 64
 	cfg := DefaultSystemConfig(PolicyAndroid, scale)
@@ -174,6 +176,7 @@ func TestDeadProcessKeepsNoHeap(t *testing.T) {
 	}
 
 	np := sys.Launch(testProfile("Z"))
+	empty := 0
 	for _, p := range dead {
 		if n := p.App.H.ObjectTableSize(); n != 0 {
 			t.Errorf("%s: dead heap keeps an object table of %d entries", p.Name(), n)
@@ -184,6 +187,21 @@ func TestDeadProcessKeepsNoHeap(t *testing.T) {
 		if got := look(p); got != before[p] {
 			t.Errorf("%s: retiring changed what the system reads: %+v, was %+v", p.Name(), got, before[p])
 		}
+		for _, as := range []*mem.AddressSpace{p.App.H.AS, p.App.NativeAS} {
+			if as.ResidentPages() != 0 || as.SwappedPages() != 0 {
+				continue
+			}
+			empty++
+			if n := pageRecords(as); n != 0 {
+				t.Errorf("%s: empty dead address space keeps %d page records", as.Owner, n)
+			}
+		}
+	}
+	if empty == 0 {
+		t.Error("no dead address space was empty; the test needs one to drop")
+	}
+	if v := sys.CheckInvariants(); len(v) > 0 {
+		t.Errorf("invariants after retiring: %v", v)
 	}
 	if got := np.App.H.TableCap(); got < largest {
 		t.Errorf("new heap's table capacity %d is below the largest retired heap's %d", got, largest)
@@ -196,6 +214,45 @@ func TestDeadProcessKeepsNoHeap(t *testing.T) {
 	}
 	if last := sys.M.Launches[len(sys.M.Launches)-1]; last.Hot || last.App != victim.Name() {
 		t.Errorf("relaunch of retired %s recorded as %+v, want a cold launch", victim.Name(), last)
+	}
+}
+
+// pageRecords counts the page records an address space holds.
+func pageRecords(as *mem.AddressSpace) int {
+	n := 0
+	as.ForEachPage(func(*mem.Page) { n++ })
+	return n
+}
+
+// TestRetireKeepsPagesStillHeld: a dead process whose heap space still
+// holds a resident page at the next launch (as when a collection that
+// outlived the kill mapped it) keeps every page record of that space, so
+// the invariant sweep still counts the frame, while its empty native space
+// drops its records.
+func TestRetireKeepsPagesStillHeld(t *testing.T) {
+	sys := NewSystem(DefaultSystemConfig(PolicyAndroid, testScale))
+	a := sys.Launch(testProfile("A"))
+	sys.Launch(testProfile("B"))
+	sys.Use(2 * time.Second)
+	sys.Kill(a)
+	if _, err := sys.VM.TouchRange(a.App.H.AS, 0, 1, true); err != nil {
+		t.Fatal(err)
+	}
+	records := pageRecords(a.App.H.AS)
+	if pageRecords(a.App.NativeAS) == 0 {
+		t.Fatal("the killed app never touched its native space; the test needs records to drop")
+	}
+
+	sys.Launch(testProfile("C"))
+	if got := pageRecords(a.App.H.AS); got != records || a.App.H.AS.ResidentPages() != 1 {
+		t.Errorf("dead heap space holding a resident page kept %d of %d records, %d resident",
+			got, records, a.App.H.AS.ResidentPages())
+	}
+	if n := pageRecords(a.App.NativeAS); n != 0 {
+		t.Errorf("empty dead native space keeps %d page records", n)
+	}
+	if v := sys.CheckInvariants(); len(v) > 0 {
+		t.Errorf("invariants after retiring: %v", v)
 	}
 }
 

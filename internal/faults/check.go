@@ -12,7 +12,8 @@ import (
 // Check cross-validates the layers' redundant accounting: every page-table
 // entry against its space's resident/swapped counters, the global frame
 // and swap-slot counts against the sum over spaces, LRU list lengths
-// against linked pages, and each heap's object table against its regions.
+// against linked pages, the swap backend's own accounting
+// (SwapBackend.Check), and each heap's object table against its regions.
 // spaces must list every address space the manager serves (including the
 // injector's storm space) or the global sums will disagree by design.
 // The returned slice is empty when all layers agree; entries are capped so
@@ -69,6 +70,9 @@ func Check(vm *vmem.Manager, spaces []*mem.AddressSpace, heaps []*heap.Heap) []s
 	}
 	if vm.Swap.FreeSlots() < 0 {
 		addf("swap device oversubscribed: %d free slots", vm.Swap.FreeSlots())
+	}
+	if err := vm.Swap.Check(); err != nil {
+		addf("swap backend: %v", err)
 	}
 	if vm.Phys.FreeFrames() < 0 {
 		addf("physical memory oversubscribed: %d free frames", vm.Phys.FreeFrames())

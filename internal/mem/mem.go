@@ -248,6 +248,19 @@ func (as *AddressSpace) FootprintBytes() int64 {
 	return (as.resident + as.swapped) * units.PageSize
 }
 
+// DropPages forgets the page table and every page record of a space that
+// holds no resident and no swapped page, and reports whether it did. The
+// space keeps its Owner and counters, and ForEachPage then visits nothing.
+// A space that still holds a page keeps every record. Only a dead
+// process's space is dropped: touching a dropped space panics.
+func (as *AddressSpace) DropPages() bool {
+	if as.resident != 0 || as.swapped != 0 {
+		return false
+	}
+	as.pages, as.spare = nil, nil
+	return true
+}
+
 // ForEachPage visits every instantiated page in address order.
 func (as *AddressSpace) ForEachPage(fn func(*Page)) {
 	for _, p := range as.pages {

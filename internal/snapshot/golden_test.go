@@ -42,6 +42,9 @@ var goldenKinds = map[string][]string{
 // a change that moves the output on purpose re-records them and says why.
 // Swam/flash's Heap was re-recorded when Capture stopped folding dead
 // processes' heaps: it is the only session in which lmkd kills an app.
+// Its VMem was re-recorded when a retired process began dropping the page
+// records of its empty address spaces, which SpaceDigest then no longer
+// folds.
 var golden = map[string]goldenCell{
 	"Android/flash": {VMem: 0x450384fa49f8461e, Heap: 0x30f4a3c9f7ee4c93, Android: 0xa297632a36f4b0f7, GCs: 0x21bece8df0dbf89b},
 	"Android/zram":  {VMem: 0x1bdcc7ec80bcbfd, Heap: 0x309ee8ee9e386b1e, Android: 0x7a53ee7bf54b9623, GCs: 0x21bece8df0dbf89b},
@@ -49,7 +52,7 @@ var golden = map[string]goldenCell{
 	"Marvin/zram":   {VMem: 0x2265ac69d3825532, Heap: 0x2d5a75bd267f4d32, Android: 0x6a38418df20b824a, GCs: 0x7af7de91cc0715f3},
 	"Fleet/flash":   {VMem: 0x8d4516a1a550ea44, Heap: 0xaf318e9df797792d, Android: 0x4d6d2e54f28f4fc4, GCs: 0xa4882ad6db74a626},
 	"Fleet/zram":    {VMem: 0xdc35324a1ec03b6d, Heap: 0x679d4ecee279a1d0, Android: 0x7d1f7e999a753def, GCs: 0x7492f77431206d1e},
-	"Swam/flash":    {VMem: 0xcda35689314c33bc, Heap: 0x97978b5398aa6fbc, Android: 0xdc0a9f506183f115, GCs: 0x405cb945932bdc31},
+	"Swam/flash":    {VMem: 0x12feaeff82ce7a5, Heap: 0x97978b5398aa6fbc, Android: 0xdc0a9f506183f115, GCs: 0x405cb945932bdc31},
 	"Swam/zram":     {VMem: 0x6bee8f21e620e541, Heap: 0x79cbc731d9f8fff, Android: 0x3ffd21061d8515c5, GCs: 0x21bece8df0dbf89b},
 }
 

@@ -62,6 +62,11 @@ type SwapBackend interface {
 	// BackendStats returns the backend's extended deterministic counters
 	// (all zero for flash); snapshot.VMemDigest folds every field.
 	BackendStats() BackendStats
+
+	// Check verifies the backend's own accounting (slots, pool bytes, its
+	// stored-page index) and returns the first inconsistency, or nil.
+	// faults.Check runs it, so every invariant sweep and chaos cell does.
+	Check() error
 }
 
 // BackendStats are the extended per-backend counters. Flash leaves them

@@ -134,8 +134,9 @@ func TestVMRandomOps(t *testing.T) {
 // FuzzVMOps drives the manager with an arbitrary op tape — touches,
 // advice, prefetches, releases, plus injected device faults (latency
 // stalls, offline windows, compression-CPU spikes, slot squeezes) — and
-// requires the conservation laws to hold and no corruption to latch at the
-// end. The tape's first byte picks the backend (even: flash, odd: zram).
+// requires the backend's own accounting (SwapBackend.Check) to hold after
+// every op and the conservation laws to hold and no corruption to latch at
+// the end. The tape's first byte picks the backend (even: flash, odd: zram).
 // Every error return is legal under faults; what must never happen is
 // inconsistent accounting.
 func FuzzVMOps(f *testing.F) {
@@ -224,6 +225,9 @@ func FuzzVMOps(f *testing.F) {
 				} else {
 					fault.CPUFactor = float64(1 + b%8)
 				}
+			}
+			if err := m.Swap.Check(); err != nil {
+				t.Fatalf("op %d: %v", i/3, err)
 			}
 		}
 		vmInvariants(t, m, []*mem.AddressSpace{as})

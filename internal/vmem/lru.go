@@ -55,6 +55,9 @@ func (l *lruList) popTail() *mem.Page {
 // the active tail is demoted. Reclaim always eats the inactive tail.
 type twoListLRU struct {
 	active, inactive lruList
+	// victims is scanTail's result buffer, reused by every scan: a reclaim
+	// pass consumes one scan's victims before it asks for the next.
+	victims []*mem.Page
 }
 
 func (lru *twoListLRU) total() int64 { return lru.active.len() + lru.inactive.len() }
@@ -173,11 +176,11 @@ func (lru *twoListLRU) rebalance() {
 }
 
 // scanTail examines up to max pages from the inactive tail, returning
-// reclaim victims. Referenced pages get a second chance (rotated/promoted);
-// Hot pages (madvise HOT_RUNTIME) are rotated to the active list unless
-// emergency is set.
+// reclaim victims in a buffer the next scan reuses. Referenced pages get a
+// second chance (rotated/promoted); Hot pages (madvise HOT_RUNTIME) are
+// rotated to the active list unless emergency is set.
 func (lru *twoListLRU) scanTail(max int64, emergency bool) []*mem.Page {
-	victims := make([]*mem.Page, 0, max)
+	victims := lru.victims[:0]
 	scanned := int64(0)
 	for scanned < max {
 		p := lru.inactive.popTail()
@@ -205,5 +208,6 @@ func (lru *twoListLRU) scanTail(max int64, emergency bool) []*mem.Page {
 		p.Prev, p.Next = nil, nil
 		victims = append(victims, p)
 	}
+	lru.victims = victims
 	return victims
 }

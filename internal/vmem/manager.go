@@ -455,9 +455,14 @@ func (m *Manager) Prefetch(as *mem.AddressSpace, addr, size int64) (int64, time.
 // balance is the kswapd analogue: when free frames dip below the low
 // watermark it evicts from the LRU tail until the high watermark is met.
 // Its IO is asynchronous from the mutators' perspective (tracked in
-// Stats.ReclaimIO, not returned as stall).
+// Stats.ReclaimIO, not returned as stall). With the swap device full and
+// no AfterReclaim hook, reclaim could neither scan nor report, so balance
+// does not call it: under sustained pressure that is most page touches.
 func (m *Manager) balance() {
 	if m.Phys.FreeFrames() >= m.LowWatermark {
+		return
+	}
+	if m.AfterReclaim == nil && m.Swap.FreeSlots() <= 0 {
 		return
 	}
 	need := m.HighWatermark - m.Phys.FreeFrames()

@@ -1,6 +1,7 @@
 package vmem
 
 import (
+	"fmt"
 	"time"
 
 	"fleetsim/internal/mem"
@@ -154,6 +155,15 @@ func (d *SwapDevice) Discard(*mem.Page) error {
 		return ErrSwapCorrupt
 	}
 	d.usedSlots--
+	return nil
+}
+
+// Check verifies that the used and reserved slots fit the device.
+func (d *SwapDevice) Check() error {
+	if d.usedSlots < 0 || d.reserved < 0 || d.usedSlots+d.reserved > d.totalSlots {
+		return fmt.Errorf("swap: %d used and %d reserved slots on a %d-slot device",
+			d.usedSlots, d.reserved, d.totalSlots)
+	}
 	return nil
 }
 

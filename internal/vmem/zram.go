@@ -1,6 +1,7 @@
 package vmem
 
 import (
+	"fmt"
 	"time"
 
 	"fleetsim/internal/mem"
@@ -26,22 +27,27 @@ type ZramConfig struct {
 // selection).
 const incompressibleBytes = 3 * units.PageSize / 4
 
-// zkey identifies a stored page across re-stores: the same virtual page
-// always compresses to the same size, which is what makes the backend
-// deterministic under replay.
-type zkey struct {
-	owner string
-	index int64
-}
-
-// zentry is one stored page's record.
+// zentry is one stored page's record, held by value in the stored-page
+// index. stamp is the store that made it: a clock item naming an older
+// stamp is stale.
 type zentry struct {
-	key     zkey
-	csize   int64 // pool bytes occupied (0 once written back / fell through)
+	stamp   uint64
+	csize   int32 // pool bytes occupied (0 once written back / fell through)
 	hot     bool  // runtime marked it hot at store time; writeback demotes once
 	inFlash bool  // lives on the backing device, not in the pool
-	dead    bool  // read back or discarded; lazily skipped by the queue
 }
+
+// zitem is one writeback clock slot: the page a pool store put there and
+// that store's stamp. The item is stale once its page is read back,
+// discarded, written back or stored again.
+type zitem struct {
+	page  *mem.Page
+	stamp uint64
+}
+
+// minCompact is the stale-item count below which the clock is never
+// compacted, so a small pool does not filter its clock on every store.
+const minCompact = 1024
 
 // Zram is the Ariadne-style compressed swap backend: pages compress into a
 // DRAM pool with a seeded per-page ratio model; incompressible pages fall
@@ -58,9 +64,13 @@ type Zram struct {
 	poolUsed     int64
 	reservedPool int64 // pages held by an injected zram-full fault
 
-	entries map[zkey]*zentry
-	queue   []*zentry // writeback clock, store order
+	// entries indexes every stored page, pool or flash. queue is the
+	// writeback clock: one item per pool store in store order, of which
+	// those before qhead are consumed. stores stamps the latest pool store.
+	entries map[*mem.Page]zentry
+	queue   []zitem
 	qhead   int
+	stores  uint64
 
 	stats BackendStats
 }
@@ -75,7 +85,7 @@ func NewZram(cfg SwapDeviceConfig, seed uint64) *Zram {
 		seed:      seed,
 		backing:   NewSwapDevice(SwapDeviceConfig{SizeBytes: zc.BackingBytes, Profile: zc.BackingProfile}),
 		poolBytes: zc.PoolBytes,
-		entries:   make(map[zkey]*zentry),
+		entries:   make(map[*mem.Page]zentry),
 	}
 }
 
@@ -167,6 +177,13 @@ func (z *Zram) UnreserveSlots(n int64) {
 // ReservedSlots reports the current fault-injected hold.
 func (z *Zram) ReservedSlots() int64 { return z.reservedPool + z.backing.ReservedSlots() }
 
+// current reports whether clock item it still names its page's pool
+// entry: the page is stored, by the store that queued it, and in the pool.
+func (z *Zram) current(it zitem) bool {
+	e, ok := z.entries[it.page]
+	return ok && e.stamp == it.stamp && !e.inFlash
+}
+
 // writeback moves cold pool entries to the backing device until need bytes
 // of pool are free or nothing more can move. Entries leave in store order;
 // a hot entry is demoted and re-queued once before it becomes a victim
@@ -175,35 +192,57 @@ func (z *Zram) ReservedSlots() int64 { return z.reservedPool + z.backing.Reserve
 // not charged to the calling thread.
 func (z *Zram) writeback(need int64, fs FaultState) {
 	for z.poolFree() < need && z.qhead < len(z.queue) {
-		e := z.queue[z.qhead]
+		it := z.queue[z.qhead]
 		z.qhead++
-		if e.dead || e.inFlash {
-			continue
+		e, ok := z.entries[it.page]
+		if !ok || e.stamp != it.stamp || e.inFlash {
+			continue // stale
 		}
 		if e.hot {
 			e.hot = false
-			z.queue = append(z.queue, e)
+			z.entries[it.page] = e
+			z.queue = append(z.queue, it)
 			continue
 		}
 		dur, err := z.backing.WritePage(nil, fs)
 		if err != nil {
-			z.qhead-- // no backing room: leave e queued for a later pass
-			return
+			z.qhead-- // no backing room: leave the item queued for a later pass
+			break
 		}
 		z.stats.WritebackIO += dur
 		z.stats.Writebacks++
-		z.poolUsed -= e.csize
-		z.stats.CompressedBytes -= e.csize
-		z.stats.StoredPages--
-		e.csize = 0
-		e.inFlash = true
+		z.unpool(e.csize)
+		z.entries[it.page] = zentry{inFlash: true}
 	}
-	// Compact the queue once the dead prefix dominates, keeping the
-	// amortized cost per store O(1).
-	if z.qhead > 1024 && z.qhead*2 > len(z.queue) {
-		z.queue = append(z.queue[:0], z.queue[z.qhead:]...)
-		z.qhead = 0
+	z.tidy()
+}
+
+// tidy filters the consumed and stale items out of the clock, in order,
+// once they outnumber both the pool entries and minCompact. Each pool
+// entry has exactly one current item, so the clock then holds exactly the
+// pool, and no page record the device no longer holds stays reachable
+// from it. Writeback skips stale items anyway, so its order is unchanged,
+// and a store, read or discard stays amortized O(1).
+func (z *Zram) tidy() {
+	stale := len(z.queue) - int(z.stats.StoredPages)
+	if stale <= max(int(z.stats.StoredPages), minCompact) {
+		return
 	}
+	kept := z.queue[:0]
+	for _, it := range z.queue[z.qhead:] {
+		if z.current(it) {
+			kept = append(kept, it)
+		}
+	}
+	clear(z.queue[len(kept):])
+	z.queue, z.qhead = kept, 0
+}
+
+// unpool releases a pool entry's compressed bytes.
+func (z *Zram) unpool(csize int32) {
+	z.poolUsed -= int64(csize)
+	z.stats.CompressedBytes -= int64(csize)
+	z.stats.StoredPages--
 }
 
 // storeInPool compresses the page into the pool, booking the compression
@@ -216,9 +255,9 @@ func (z *Zram) storeInPool(p *mem.Page, csize int64, fs FaultState) (time.Durati
 	if z.poolFree() < csize {
 		return 0, ErrSwapFull
 	}
-	e := &zentry{key: zkey{p.Space.Owner, p.Index}, csize: csize, hot: p.Hot}
-	z.entries[e.key] = e
-	z.queue = append(z.queue, e)
+	z.stores++
+	z.entries[p] = zentry{stamp: z.stores, csize: int32(csize), hot: p.Hot}
+	z.queue = append(z.queue, zitem{p, z.stores})
 	z.poolUsed += csize
 	z.stats.StoredPages++
 	z.stats.CompressedBytes += csize
@@ -233,8 +272,7 @@ func (z *Zram) storeInFlash(p *mem.Page, fs FaultState) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	e := &zentry{key: zkey{p.Space.Owner, p.Index}, inFlash: true}
-	z.entries[e.key] = e
+	z.entries[p] = zentry{inFlash: true}
 	return dur, nil
 }
 
@@ -262,16 +300,19 @@ func (z *Zram) WritePage(p *mem.Page, fs FaultState) (time.Duration, error) {
 	return dur, err
 }
 
-// lookup removes and returns the entry for p, or nil if it was never
-// stored (accounting corruption).
-func (z *Zram) lookup(p *mem.Page) *zentry {
-	e, ok := z.entries[zkey{p.Space.Owner, p.Index}]
+// remove deletes p's entry, releasing its pool bytes when it was in the
+// pool, and reports false when p was never stored (accounting corruption).
+func (z *Zram) remove(p *mem.Page) (zentry, bool) {
+	e, ok := z.entries[p]
 	if !ok {
-		return nil
+		return e, false
 	}
-	delete(z.entries, e.key)
-	e.dead = true
-	return e
+	delete(z.entries, p)
+	if !e.inFlash {
+		z.unpool(e.csize)
+		z.tidy()
+	}
+	return e, true
 }
 
 // ReadPage loads one page back: a pool hit decompresses (CPU scaled by
@@ -280,16 +321,13 @@ func (z *Zram) lookup(p *mem.Page) *zentry {
 // nothing), a backing-flash entry reads the device, at readahead speed
 // when sequential.
 func (z *Zram) ReadPage(p *mem.Page, fs FaultState, sequential bool) (time.Duration, error) {
-	e := z.lookup(p)
-	if e == nil {
+	e, ok := z.remove(p)
+	if !ok {
 		return 0, ErrSwapCorrupt
 	}
 	if e.inFlash {
 		return z.backing.ReadPage(p, fs, sequential)
 	}
-	z.poolUsed -= e.csize
-	z.stats.CompressedBytes -= e.csize
-	z.stats.StoredPages--
 	cpu := fs.cpu(z.profile.ReadTime(units.PageSize))
 	z.stats.DecompressCPU += cpu
 	return fs.stretch(cpu), nil
@@ -297,16 +335,65 @@ func (z *Zram) ReadPage(p *mem.Page, fs FaultState, sequential bool) (time.Durat
 
 // Discard frees a stored page without a read.
 func (z *Zram) Discard(p *mem.Page) error {
-	e := z.lookup(p)
-	if e == nil {
+	e, ok := z.remove(p)
+	if !ok {
 		return ErrSwapCorrupt
 	}
 	if e.inFlash {
 		return z.backing.Discard(p)
 	}
-	z.poolUsed -= e.csize
-	z.stats.CompressedBytes -= e.csize
-	z.stats.StoredPages--
+	return nil
+}
+
+// Check verifies the backend's accounting: pool bytes used plus reserved
+// within the pool; the pool byte counters and StoredPages against the pool
+// entries; the backing device's slots against the entries it holds; one
+// current clock item per pool entry; and the clock's stale items within
+// the bound tidy keeps.
+func (z *Zram) Check() error {
+	if used := z.poolUsed + z.reservedPool*units.PageSize; used > z.poolBytes {
+		return fmt.Errorf("zram: %d pool bytes used and %d pages reserved exceed the %d-byte pool",
+			z.poolUsed, z.reservedPool, z.poolBytes)
+	}
+	var pool, inFlash, bytes int64
+	for _, e := range z.entries {
+		if e.inFlash {
+			inFlash++
+		} else {
+			pool++
+			bytes += int64(e.csize)
+		}
+	}
+	if z.poolUsed != z.stats.CompressedBytes || z.poolUsed != bytes {
+		return fmt.Errorf("zram: pool uses %d bytes, CompressedBytes says %d, pool entries sum to %d",
+			z.poolUsed, z.stats.CompressedBytes, bytes)
+	}
+	if z.stats.StoredPages != pool {
+		return fmt.Errorf("zram: StoredPages says %d, the index holds %d pool entries", z.stats.StoredPages, pool)
+	}
+	if got := z.backing.UsedSlots(); got != inFlash {
+		return fmt.Errorf("zram: backing device uses %d slots, the index holds %d flash entries", got, inFlash)
+	}
+	if err := z.backing.Check(); err != nil {
+		return fmt.Errorf("zram backing: %w", err)
+	}
+	queued := make(map[*mem.Page]bool, pool)
+	for _, it := range z.queue[z.qhead:] {
+		if !z.current(it) {
+			continue
+		}
+		if queued[it.page] {
+			return fmt.Errorf("zram: page %d of %s has two current clock items", it.page.Index, it.page.Space.Owner)
+		}
+		queued[it.page] = true
+	}
+	if int64(len(queued)) != pool {
+		return fmt.Errorf("zram: %d pool entries but %d current clock items", pool, len(queued))
+	}
+	if stale := int64(len(z.queue)) - pool; stale > max(pool, minCompact) {
+		return fmt.Errorf("zram: clock holds %d stale items beside %d pool entries (bound %d)",
+			stale, pool, max(pool, minCompact))
+	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package vmem
 
 import (
+	"fmt"
 	"testing"
 
 	"fleetsim/internal/mem"
@@ -23,187 +24,302 @@ func newTestZram(poolPages, backingPages int64, seed uint64) *Zram {
 	}, seed)
 }
 
-// TestZramCrossCheck drives a random store/load/discard/reserve workload
-// against the zram backend while mirroring the stored-page set into a naive
-// map model (the TestEdgeArenaCrossCheck pattern), and simultaneously runs
-// a twin backend through the identical op sequence. The model pins the
-// accounting contract — UsedSlots equals the live page count, a
-// full-reject implies zero free slots, reads of stored pages never miss —
-// and the twin pins determinism: every returned duration, error and
-// counter must be bitwise equal across the two instances.
-func TestZramCrossCheck(t *testing.T) {
-	for seed := uint64(1); seed <= 3; seed++ {
-		runZramCrossCheck(t, seed)
-	}
+// zramModel drives a zram backend and a twin through the same op
+// sequence while mirroring the stored-page set into a naive map model (the
+// TestEdgeArenaCrossCheck pattern). The model pins the accounting
+// contract: UsedSlots equals the live page count, a full reject implies
+// zero free slots, reads of stored pages never miss, and Check passes
+// after every op. The twin pins determinism: every returned duration,
+// error and counter must be bitwise equal across the two instances.
+type zramModel struct {
+	t       *testing.T
+	label   string
+	step    int
+	poolCap int64 // pool bytes
+
+	z, twin *Zram
+	pages   []zramSlot
+
+	stored     map[*mem.Page]bool // the golden model: pages the backend holds
+	storedList []*mem.Page
+	reserved   int64
 }
 
-func runZramCrossCheck(t *testing.T, seed uint64) {
-	r := xrand.New(seed)
-	// A small backend (64-page pool, 32-slot backing flash), so the random
-	// workload reaches every route quickly: pool stores, incompressible
-	// fallthrough, hotness-aware writeback, flash spill and ErrSwapFull
-	// rejection.
-	z := newTestZram(64, 32, seed)
-	twin := newTestZram(64, 32, seed)
+// zramSlot is one candidate page and its twin: the same owner name and
+// index in a separate space, so both backends see identical identities.
+type zramSlot struct{ page, twinPage *mem.Page }
 
-	// The candidate page set: three owners, enough pages to overflow the
-	// pool twice over. Twin pages live in separate spaces with the same
-	// owner names and indexes, so both backends see identical identities.
-	type slot struct{ page, twinPage *mem.Page }
-	var pages []slot
+// newZramModel builds a poolPages-page pool with backingPages of flash and
+// perOwner candidate pages under each of three owners; hot says which
+// pages the runtime marks hot.
+func newZramModel(t *testing.T, label string, poolPages, backingPages, perOwner int64, seed uint64, hot func(int) bool) *zramModel {
+	m := &zramModel{
+		t: t, label: label, poolCap: poolPages * units.PageSize,
+		z: newTestZram(poolPages, backingPages, seed), twin: newTestZram(poolPages, backingPages, seed),
+		stored: map[*mem.Page]bool{},
+	}
 	for _, owner := range []string{"maps", "chrome", "spotify"} {
 		as := mem.NewAddressSpace(owner)
 		tas := mem.NewAddressSpace(owner)
-		as.Reserve(96 * units.PageSize)
-		tas.Reserve(96 * units.PageSize)
-		for i := int64(0); i < 96; i++ {
+		as.Reserve(perOwner * units.PageSize)
+		tas.Reserve(perOwner * units.PageSize)
+		for i := int64(0); i < perOwner; i++ {
 			p, tp := as.PageAt(i), tas.PageAt(i)
-			p.Hot = r.Bool(0.3)
+			p.Hot = hot(len(m.pages))
 			tp.Hot = p.Hot
-			pages = append(pages, slot{p, tp})
+			m.pages = append(m.pages, zramSlot{p, tp})
 		}
 	}
+	return m
+}
 
-	stored := map[*mem.Page]bool{} // the golden model: pages the backend holds
-	var storedList []*mem.Page
-	var reserved int64
+func (m *zramModel) fatalf(format string, args ...any) {
+	m.t.Helper()
+	m.t.Fatalf("%s step %d: %s", m.label, m.step, fmt.Sprintf(format, args...))
+}
 
-	syncList := func() {
-		kept := storedList[:0]
-		for _, p := range storedList {
-			if stored[p] {
-				kept = append(kept, p)
-			}
-		}
-		storedList = kept
+// store writes candidate i (modulo the set) unless the backend holds it.
+func (m *zramModel) store(i int) {
+	m.t.Helper()
+	s := m.pages[i%len(m.pages)]
+	if m.stored[s.page] {
+		return
 	}
-
-	check := func(step int) {
-		t.Helper()
-		if got, want := z.UsedSlots(), int64(len(stored)); got != want {
-			t.Fatalf("seed %d step %d: UsedSlots %d, model holds %d", seed, step, got, want)
-		}
-		if z.FreeSlots() < 0 {
-			t.Fatalf("seed %d step %d: negative FreeSlots %d", seed, step, z.FreeSlots())
-		}
-		st := z.BackendStats()
-		if st.CompressedBytes < 0 || st.CompressedBytes > 64*units.PageSize {
-			t.Fatalf("seed %d step %d: pool accounting out of range: %d", seed, step, st.CompressedBytes)
-		}
-		if st.StoredPages < 0 || st.StoredPages > int64(len(stored)) {
-			t.Fatalf("seed %d step %d: StoredPages %d vs model %d", seed, step, st.StoredPages, len(stored))
-		}
-		if z.BackendStats() != twin.BackendStats() {
-			t.Fatalf("seed %d step %d: twin stats diverged:\n a: %+v\n b: %+v",
-				seed, step, z.BackendStats(), twin.BackendStats())
-		}
+	dur, err := m.z.WritePage(s.page, FaultState{})
+	tdur, terr := m.twin.WritePage(s.twinPage, FaultState{})
+	if dur != tdur || err != terr {
+		m.fatalf("twin write diverged: (%v,%v) vs (%v,%v)", dur, err, tdur, terr)
 	}
-
-	for step := 0; step < 4000; step++ {
-		switch op := r.Intn(10); {
-		case op < 5: // store a page the backend does not hold
-			s := pages[r.Intn(len(pages))]
-			if stored[s.page] {
-				continue
-			}
-			dur, err := z.WritePage(s.page, FaultState{})
-			tdur, terr := twin.WritePage(s.twinPage, FaultState{})
-			if dur != tdur || err != terr {
-				t.Fatalf("seed %d step %d: twin write diverged: (%v,%v) vs (%v,%v)",
-					seed, step, dur, err, tdur, terr)
-			}
-			switch err {
-			case nil:
-				stored[s.page] = true
-				storedList = append(storedList, s.page)
-			case ErrSwapFull:
-				// A rejection must mean the device is genuinely out of
-				// room right now.
-				if z.FreeSlots() != 0 {
-					t.Fatalf("seed %d step %d: WritePage rejected full with %d free slots",
-						seed, step, z.FreeSlots())
-				}
-			default:
-				t.Fatalf("seed %d step %d: unexpected write error %v", seed, step, err)
-			}
-		case op < 8: // load a stored page back (sometimes via prefetch path)
-			if len(storedList) == 0 {
-				continue
-			}
-			syncList()
-			if len(storedList) == 0 {
-				continue
-			}
-			p := storedList[r.Intn(len(storedList))]
-			tp := pages[0].twinPage
-			for _, s := range pages {
-				if s.page == p {
-					tp = s.twinPage
-					break
-				}
-			}
-			seqRead := r.Bool(0.3)
-			dur, err := z.ReadPage(p, FaultState{}, seqRead)
-			tdur, terr := twin.ReadPage(tp, FaultState{}, seqRead)
-			if dur != tdur || err != terr {
-				t.Fatalf("seed %d step %d: twin read diverged: (%v,%v) vs (%v,%v)",
-					seed, step, dur, err, tdur, terr)
-			}
-			if err != nil {
-				t.Fatalf("seed %d step %d: read of stored page failed: %v", seed, step, err)
-			}
-			delete(stored, p)
-		case op == 8: // discard a stored page, or probe a missing one
-			s := pages[r.Intn(len(pages))]
-			err := z.Discard(s.page)
-			terr := twin.Discard(s.twinPage)
-			if err != terr {
-				t.Fatalf("seed %d step %d: twin discard diverged: %v vs %v", seed, step, err, terr)
-			}
-			if stored[s.page] {
-				if err != nil {
-					t.Fatalf("seed %d step %d: discard of stored page failed: %v", seed, step, err)
-				}
-				delete(stored, s.page)
-			} else if err != ErrSwapCorrupt {
-				t.Fatalf("seed %d step %d: discard of missing page returned %v", seed, step, err)
-			}
-		case op == 9: // fault-style capacity churn
-			if reserved > 0 && r.Bool(0.5) {
-				z.UnreserveSlots(reserved)
-				twin.UnreserveSlots(reserved)
-				reserved = 0
-			} else {
-				n := int64(r.Intn(16))
-				got := z.ReserveSlots(n)
-				tgot := twin.ReserveSlots(n)
-				if got != tgot {
-					t.Fatalf("seed %d step %d: twin reserve diverged: %d vs %d", seed, step, got, tgot)
-				}
-				if got > n {
-					t.Fatalf("seed %d step %d: reserved %d > requested %d", seed, step, got, n)
-				}
-				reserved += got
-			}
-			if z.ReservedSlots() != reserved {
-				t.Fatalf("seed %d step %d: ReservedSlots %d, model %d", seed, step, z.ReservedSlots(), reserved)
-			}
+	switch err {
+	case nil:
+		m.stored[s.page] = true
+		m.storedList = append(m.storedList, s.page)
+	case ErrSwapFull:
+		// A rejection must mean the device is genuinely out of room.
+		if m.z.FreeSlots() != 0 {
+			m.fatalf("WritePage rejected full with %d free slots", m.z.FreeSlots())
 		}
-		if step%250 == 249 {
-			check(step)
+	default:
+		m.fatalf("unexpected write error %v", err)
+	}
+}
+
+// load reads back stored page i (modulo the stored set), if any.
+func (m *zramModel) load(i int, sequential bool) {
+	m.t.Helper()
+	kept := m.storedList[:0]
+	for _, p := range m.storedList {
+		if m.stored[p] {
+			kept = append(kept, p)
 		}
 	}
-	check(-1)
+	m.storedList = kept
+	if len(kept) == 0 {
+		return
+	}
+	p := kept[i%len(kept)]
+	tp := m.pages[0].twinPage
+	for _, s := range m.pages {
+		if s.page == p {
+			tp = s.twinPage
+			break
+		}
+	}
+	dur, err := m.z.ReadPage(p, FaultState{}, sequential)
+	tdur, terr := m.twin.ReadPage(tp, FaultState{}, sequential)
+	if dur != tdur || err != terr {
+		m.fatalf("twin read diverged: (%v,%v) vs (%v,%v)", dur, err, tdur, terr)
+	}
+	if err != nil {
+		m.fatalf("read of stored page failed: %v", err)
+	}
+	delete(m.stored, p)
+}
 
-	// The workload must have exercised every route through the backend.
+// discard frees candidate i (modulo the set), or probes it when the
+// backend does not hold it.
+func (m *zramModel) discard(i int) {
+	m.t.Helper()
+	s := m.pages[i%len(m.pages)]
+	err := m.z.Discard(s.page)
+	if terr := m.twin.Discard(s.twinPage); err != terr {
+		m.fatalf("twin discard diverged: %v vs %v", err, terr)
+	}
+	if m.stored[s.page] {
+		if err != nil {
+			m.fatalf("discard of stored page failed: %v", err)
+		}
+		delete(m.stored, s.page)
+	} else if err != ErrSwapCorrupt {
+		m.fatalf("discard of missing page returned %v", err)
+	}
+}
+
+// reserve takes up to n slots out of circulation, as a zram-full fault
+// does.
+func (m *zramModel) reserve(n int64) {
+	m.t.Helper()
+	got, tgot := m.z.ReserveSlots(n), m.twin.ReserveSlots(n)
+	if got != tgot {
+		m.fatalf("twin reserve diverged: %d vs %d", got, tgot)
+	}
+	if got > max(n, 0) {
+		m.fatalf("reserved %d > requested %d", got, n)
+	}
+	m.reserved += got
+}
+
+// unreserve returns every reserved slot.
+func (m *zramModel) unreserve() {
+	m.z.UnreserveSlots(m.reserved)
+	m.twin.UnreserveSlots(m.reserved)
+	m.reserved = 0
+}
+
+// check compares the backend with the model and its twin; runRandom and
+// FuzzZramOps run it after every op.
+func (m *zramModel) check() {
+	m.t.Helper()
+	z := m.z
+	if err := z.Check(); err != nil {
+		m.fatalf("Check: %v", err)
+	}
+	if err := m.twin.Check(); err != nil {
+		m.fatalf("twin Check: %v", err)
+	}
+	if got, want := z.UsedSlots(), int64(len(m.stored)); got != want {
+		m.fatalf("UsedSlots %d, model holds %d", got, want)
+	}
+	if z.FreeSlots() < 0 {
+		m.fatalf("negative FreeSlots %d", z.FreeSlots())
+	}
+	if z.ReservedSlots() != m.reserved {
+		m.fatalf("ReservedSlots %d, model %d", z.ReservedSlots(), m.reserved)
+	}
 	st := z.BackendStats()
+	if st.CompressedBytes < 0 || st.CompressedBytes > m.poolCap {
+		m.fatalf("pool accounting out of range: %d", st.CompressedBytes)
+	}
+	if st.StoredPages < 0 || st.StoredPages > int64(len(m.stored)) {
+		m.fatalf("StoredPages %d vs model %d", st.StoredPages, len(m.stored))
+	}
+	if st != m.twin.BackendStats() {
+		m.fatalf("twin stats diverged:\n a: %+v\n b: %+v", st, m.twin.BackendStats())
+	}
+}
+
+// runRandom drives steps random ops: stores, loads (some sequential),
+// discards and probes of missing pages, and capacity churn.
+func (m *zramModel) runRandom(r *xrand.Rand, steps int, afterOp func()) {
+	m.t.Helper()
+	for m.step = 0; m.step < steps; m.step++ {
+		switch op := r.Intn(10); {
+		case op < 5:
+			m.store(r.Intn(len(m.pages)))
+		case op < 8:
+			m.load(r.Intn(len(m.pages)), r.Bool(0.3))
+		case op == 8:
+			m.discard(r.Intn(len(m.pages)))
+		default:
+			if m.reserved > 0 && r.Bool(0.5) {
+				m.unreserve()
+			} else {
+				m.reserve(int64(r.Intn(16)))
+			}
+		}
+		m.check()
+		if afterOp != nil {
+			afterOp()
+		}
+	}
+}
+
+// requireEveryRoute fails unless the run exercised every route through the
+// backend.
+func (m *zramModel) requireEveryRoute() {
+	m.t.Helper()
+	st := m.z.BackendStats()
 	if st.Fallthroughs == 0 {
-		t.Errorf("seed %d: size-adaptive fallthrough never fired", seed)
+		m.t.Errorf("%s: size-adaptive fallthrough never fired", m.label)
 	}
 	if st.Writebacks == 0 {
-		t.Errorf("seed %d: hotness-aware writeback never fired", seed)
+		m.t.Errorf("%s: hotness-aware writeback never fired", m.label)
 	}
 	if st.CompressCPU == 0 || st.DecompressCPU == 0 {
-		t.Errorf("seed %d: compression cost model idle: %+v", seed, st)
+		m.t.Errorf("%s: compression cost model idle: %+v", m.label, st)
 	}
+}
+
+// TestZramCrossCheck drives a random store/load/discard/reserve workload
+// through zramModel. A small backend (64-page pool, 32-slot backing flash)
+// and three owners' pages, enough to overflow the pool twice over, reach
+// every route quickly: pool stores, incompressible fallthrough,
+// hotness-aware writeback, flash spill and ErrSwapFull rejection.
+func TestZramCrossCheck(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		r := xrand.New(seed)
+		m := newZramModel(t, fmt.Sprintf("seed %d", seed), 64, 32, 96, seed,
+			func(int) bool { return r.Bool(0.3) })
+		m.runRandom(r, 4000, nil)
+		m.requireEveryRoute()
+	}
+}
+
+// TestZramClockStaysBounded runs the cross-check's workload long enough for
+// the writeback clock to be compacted many times. After every op the clock
+// must hold at most max(pool entries, minCompact) stale items (Check), and
+// the twin must stay bitwise equal.
+func TestZramClockStaysBounded(t *testing.T) {
+	r := xrand.New(7)
+	m := newZramModel(t, "long run", 64, 128, 128, 7, func(int) bool { return r.Bool(0.3) })
+	var compactions, longest int
+	prev := 0
+	m.runRandom(r, 40000, func() {
+		n := len(m.z.queue)
+		if n < prev {
+			compactions++
+		}
+		prev, longest = n, max(longest, n)
+	})
+	m.requireEveryRoute()
+	if compactions < 5 {
+		t.Errorf("clock compacted %d times in the long run; the test needs several", compactions)
+	}
+	t.Logf("clock compacted %d times, longest %d items", compactions, longest)
+}
+
+// FuzzZramOps decodes an op tape into stores, loads, discards, reserves
+// and unreserves on a small pool (8 pages, 24 backing slots), running
+// zramModel's checks (Check, the stored-set model, the twin) after every
+// op.
+func FuzzZramOps(f *testing.F) {
+	f.Add([]byte{0x00, 0x01, 0x02, 0x03, 0x10, 0x21, 0x32, 0x43})
+	f.Add([]byte{0x00, 0x04, 0x08, 0x0c, 0x10, 0x14, 0x18, 0x1c, 0x20, 0x24, 0x28, 0x2c, 0x30, 0x34, 0x38, 0x3c,
+		0x01, 0x05, 0x09, 0x03, 0x04, 0x11, 0x02, 0x06})
+	// Fill the pool past writeback, squeeze it with a reservation, spill
+	// to flash, then read everything back.
+	f.Add([]byte{0x00, 0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x80, 0x90, 0xa0, 0xb0, 0xc0, 0xd0, 0xe0, 0xf0,
+		0x93, 0x08, 0x18, 0x28, 0x38, 0x04, 0x01, 0x01, 0x01, 0x01, 0x05, 0x01, 0x01, 0x02, 0x02})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := newZramModel(t, "fuzz", 8, 24, 16, 1, func(i int) bool { return i%3 == 0 })
+		for i, b := range data {
+			m.step = i
+			arg := int(b >> 3)
+			switch b % 8 {
+			case 0, 1, 2:
+				m.store(arg)
+			case 3:
+				m.load(arg, b&0x80 != 0)
+			case 4:
+				m.load(arg, false)
+			case 5:
+				m.discard(arg)
+			case 6:
+				m.reserve(int64(arg % 12))
+			case 7:
+				m.unreserve()
+			}
+			m.check()
+		}
+	})
 }
